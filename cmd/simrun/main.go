@@ -16,7 +16,6 @@ package main
 import (
 	"bufio"
 	"bytes"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"math"
@@ -579,9 +578,13 @@ func runResume(cfg sim.Config, path, arrivalSpec string, maxSize int, seed int64
 // line on stdout and returns the buffer flush.
 func observeNDJSON(e *sim.Engine) (flush func()) {
 	w := bufio.NewWriter(os.Stdout)
-	enc := json.NewEncoder(w)
+	var line []byte
 	e.Observe(func(r sim.JobRecord) {
-		if err := enc.Encode(r); err != nil {
+		var err error
+		if line, err = appendRecord(line[:0], &r); err != nil {
+			fatal(err)
+		}
+		if _, err := w.Write(line); err != nil {
 			fatal(err)
 		}
 	})

@@ -208,6 +208,25 @@ func TestReplicationsAddErrorBars(t *testing.T) {
 	}
 }
 
+// TestPaperClaims is the paper scorecard as a gate: it runs Check at
+// the scale `experiments -check` uses and fails on any claim that does
+// not reproduce. The network model drives the Fig. 10 message-distance
+// claims, so a routing change that breaks them fails here.
+func TestPaperClaims(t *testing.T) {
+	results, err := Check(Options{Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(results) < 9 {
+		t.Fatalf("only %d claims checked, want all 9", len(results))
+	}
+	for _, r := range results {
+		if !r.Pass {
+			t.Errorf("claim not reproduced: %s (%s)", r.Claim, r.Detail)
+		}
+	}
+}
+
 func TestCheckScorecard(t *testing.T) {
 	if testing.Short() {
 		t.Skip("scorecard needs a long trace")

@@ -145,11 +145,19 @@ type Network struct {
 	busyTime []float64 // per directed link: accumulated service time
 	stats    Stats
 	clock    float64 // latest Send time, for the monotonicity check
-	// routeBuf and altBuf are persistent route scratch so steady-state
-	// Send is allocation-free; altBuf holds the alternative candidate
-	// under adaptive routing.
-	routeBuf []topo.Link
-	altBuf   []topo.Link
+	// The grid's shape, copied out so Send walks link indices without
+	// calling back into topo: nd axes of extent dim[a], node-id stride
+	// stride[a], 2*nd directed links per node, wraparound when torus.
+	nd     int
+	nd2    int
+	dim    [topo.MaxDims]int
+	stride [topo.MaxDims]int
+	torus  bool
+	// route and alt hold the decoded spans of the message being sent
+	// (alt: the y-x candidate under adaptive routing). They live here
+	// rather than on Send's stack only so Send does not zero them per
+	// call.
+	route, alt [2 * topo.MaxDims]span
 }
 
 // New returns a network over the grid g with the given configuration. It
@@ -159,18 +167,22 @@ func New(g *topo.Grid, cfg Config) *Network {
 	if cfg.MessageFlits <= 0 || cfg.FlitCycle < 0 || cfg.HopLatency < 0 || cfg.LocalDelay < 0 {
 		panic(fmt.Sprintf("netsim: invalid config %+v", cfg))
 	}
-	maxRoute := 0
-	for i := 0; i < g.ND(); i++ {
-		maxRoute += g.Dim(i)
-	}
-	return &Network{
+	n := &Network{
 		m:        g,
 		cfg:      cfg,
 		freeAt:   make([]float64, g.NumLinks()),
 		busyTime: make([]float64, g.NumLinks()),
-		routeBuf: make([]topo.Link, 0, maxRoute),
-		altBuf:   make([]topo.Link, 0, maxRoute),
+		nd:       g.ND(),
+		nd2:      g.NumDirs(),
+		torus:    g.Torus(),
 	}
+	stride := 1
+	for a := 0; a < n.nd; a++ {
+		n.dim[a] = g.Dim(a)
+		n.stride[a] = stride
+		stride *= n.dim[a]
+	}
+	return n
 }
 
 // Result describes one delivered message.
@@ -199,61 +211,122 @@ func (n *Network) Send(src, dst int, t float64) Result {
 		return Result{Arrival: t + n.cfg.LocalDelay}
 	}
 
+	cs, cd := n.m.Coord(src), n.m.Coord(dst)
+	sp := n.route[:n.spans(&n.route, src, &cs, &cd, n.cfg.Routing == RouteYX)]
+	if n.cfg.Routing == RouteAdaptive {
+		alt := n.alt[:n.spans(&n.alt, src, &cs, &cd, true)]
+		if n.routeWait(alt, t) < n.routeWait(sp, t) {
+			sp = alt
+		}
+	}
+
 	service := n.cfg.serviceTime()
-	route := n.pickRoute(src, dst, t)
 	cur := t
 	queued := 0.0
-	for _, l := range route {
-		li := n.m.LinkIndex(l)
-		depart := cur
-		if n.freeAt[li] > depart {
-			queued += n.freeAt[li] - depart
-			depart = n.freeAt[li]
+	hops := 0
+	for _, s := range sp {
+		li := s.li
+		for h := 0; h < s.n; h++ {
+			depart := cur
+			if f := n.freeAt[li]; f > depart {
+				queued += f - depart
+				depart = f
+			}
+			n.freeAt[li] = depart + service
+			n.busyTime[li] += service
+			// The header reaches the next router one hop latency after
+			// it starts on this link; the body pipelines behind.
+			cur = depart + n.cfg.HopLatency
+			li += s.step
 		}
-		n.freeAt[li] = depart + service
-		n.busyTime[li] += service
-		// The header reaches the next router one hop latency after it
-		// starts on this link; the body pipelines behind.
-		cur = depart + n.cfg.HopLatency
+		hops += s.n
 	}
 	// After the header arrives, the remaining flits stream in over one
 	// link service time.
 	arrival := cur + service
 
 	n.stats.Messages++
-	n.stats.TotalHops += int64(len(route))
+	n.stats.TotalHops += int64(hops)
 	n.stats.TotalDistSec += arrival - t
 	n.stats.TotalQueueSec += queued
-	return Result{Arrival: arrival, Hops: len(route), Queued: queued}
+	return Result{Arrival: arrival, Hops: hops, Queued: queued}
 }
 
-// pickRoute returns the links a message injected at time t will take. The
-// returned slice aliases the network's route scratch and is only valid
-// until the next Send.
-func (n *Network) pickRoute(src, dst int, t float64) []topo.Link {
-	switch n.cfg.Routing {
-	case RouteYX:
-		n.routeBuf = n.m.AppendRouteRev(n.routeBuf[:0], src, dst)
-	case RouteAdaptive:
-		n.routeBuf = n.m.AppendRoute(n.routeBuf[:0], src, dst)
-		n.altBuf = n.m.AppendRouteRev(n.altBuf[:0], src, dst)
-		if n.routeWait(n.altBuf, t) < n.routeWait(n.routeBuf, t) {
-			return n.altBuf
+// span is one straight stretch of a dimension-ordered route: n hops
+// along one axis whose directed-link indices start at li and advance by
+// step. An axis contributes one span, or two when a torus route wraps
+// around the axis.
+type span struct{ li, n, step int }
+
+// spans decodes the dimension-ordered route from src (coordinates cs)
+// to dst (cd) into sp and returns the span count. Axes resolve in
+// ascending order (x-y), or descending (y-x) when rev. The walk matches
+// topo's AppendRoute/AppendRouteRev link for link: a link's index is
+// id*2*nd + dir, and on a torus each axis takes the shorter way around
+// (positive on ties), which keeps one direction for the whole axis.
+func (n *Network) spans(sp *[2 * topo.MaxDims]span, src int, cs, cd *topo.Point, rev bool) int {
+	k := 0
+	id := src
+	for i := 0; i < n.nd; i++ {
+		a := i
+		if rev {
+			a = n.nd - 1 - i
 		}
-	default:
-		n.routeBuf = n.m.AppendRoute(n.routeBuf[:0], src, dst)
+		c, d := cs[a], cd[a]
+		if c == d {
+			continue
+		}
+		ext, stride := n.dim[a], n.stride[a]
+		pos, hops := d > c, d-c
+		if !pos {
+			hops = c - d
+		}
+		if n.torus {
+			fwd := d - c
+			if fwd < 0 {
+				fwd += ext
+			}
+			pos, hops = fwd <= ext-fwd, fwd
+			if !pos {
+				hops = ext - fwd
+			}
+		}
+		// first counts the hops before the walk crosses the axis end
+		// (only a torus route ever does); wrap is the node it re-enters
+		// at, coordinate 0 going up or ext-1 going down.
+		var dir, step, first, wrap int
+		if pos {
+			dir, step, first = 2*a, stride*n.nd2, ext-c
+			wrap = id - c*stride
+		} else {
+			dir, step, first = 2*a+1, -stride*n.nd2, c+1
+			wrap = id + (ext-1-c)*stride
+		}
+		if first >= hops {
+			sp[k] = span{li: id*n.nd2 + dir, n: hops, step: step}
+			k++
+		} else {
+			sp[k] = span{li: id*n.nd2 + dir, n: first, step: step}
+			sp[k+1] = span{li: wrap*n.nd2 + dir, n: hops - first, step: step}
+			k += 2
+		}
+		id += (d - c) * stride
 	}
-	return n.routeBuf
+	return k
 }
 
 // routeWait estimates the queueing a message would see on a route if its
 // header could teleport: the sum of positive (freeAt - t) over links. It
 // is a heuristic for adaptive route selection, not an exact simulation.
-func (n *Network) routeWait(route []topo.Link, t float64) float64 {
+func (n *Network) routeWait(sp []span, t float64) float64 {
 	wait := 0.0
-	for _, l := range route {
-		if f := n.freeAt[n.m.LinkIndex(l)]; f > t {
-			wait += f - t
+	for _, s := range sp {
+		li := s.li
+		for h := 0; h < s.n; h++ {
+			if f := n.freeAt[li]; f > t {
+				wait += f - t
+			}
+			li += s.step
 		}
 	}
 	return wait

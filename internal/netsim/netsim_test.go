@@ -2,10 +2,12 @@ package netsim
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 	"testing/quick"
 
 	"meshalloc/internal/mesh"
+	"meshalloc/internal/topo"
 )
 
 func testConfig() Config {
@@ -382,5 +384,138 @@ func TestDefaultConfigSane(t *testing.T) {
 	}
 	if cfg.HopLatency <= 0 || cfg.HopLatency >= cfg.serviceTime() {
 		t.Fatalf("hop latency %g should be positive and below service time", cfg.HopLatency)
+	}
+}
+
+// refNetwork is the route-materializing reference for Network.Send: it
+// builds each message's dimension-ordered route as a []topo.Link with
+// topo's AppendRoute/AppendRouteRev and charges the links one by one.
+// Send's index walk must reproduce it bit for bit.
+type refNetwork struct {
+	g        *topo.Grid
+	cfg      Config
+	freeAt   []float64
+	busyTime []float64
+	stats    Stats
+	route    []topo.Link
+	alt      []topo.Link
+}
+
+func newRefNetwork(g *topo.Grid, cfg Config) *refNetwork {
+	return &refNetwork{
+		g:        g,
+		cfg:      cfg,
+		freeAt:   make([]float64, g.NumLinks()),
+		busyTime: make([]float64, g.NumLinks()),
+	}
+}
+
+func (r *refNetwork) wait(route []topo.Link, t float64) float64 {
+	wait := 0.0
+	for _, l := range route {
+		if f := r.freeAt[r.g.LinkIndex(l)]; f > t {
+			wait += f - t
+		}
+	}
+	return wait
+}
+
+func (r *refNetwork) Send(src, dst int, t float64) Result {
+	if src == dst {
+		r.stats.Messages++
+		r.stats.TotalDistSec += r.cfg.LocalDelay
+		return Result{Arrival: t + r.cfg.LocalDelay}
+	}
+	var route []topo.Link
+	switch r.cfg.Routing {
+	case RouteYX:
+		r.route = r.g.AppendRouteRev(r.route[:0], src, dst)
+		route = r.route
+	case RouteAdaptive:
+		r.route = r.g.AppendRoute(r.route[:0], src, dst)
+		r.alt = r.g.AppendRouteRev(r.alt[:0], src, dst)
+		route = r.route
+		if r.wait(r.alt, t) < r.wait(r.route, t) {
+			route = r.alt
+		}
+	default:
+		r.route = r.g.AppendRoute(r.route[:0], src, dst)
+		route = r.route
+	}
+	service := r.cfg.serviceTime()
+	cur := t
+	queued := 0.0
+	for _, l := range route {
+		li := r.g.LinkIndex(l)
+		depart := cur
+		if r.freeAt[li] > depart {
+			queued += r.freeAt[li] - depart
+			depart = r.freeAt[li]
+		}
+		r.freeAt[li] = depart + service
+		r.busyTime[li] += service
+		cur = depart + r.cfg.HopLatency
+	}
+	arrival := cur + service
+	r.stats.Messages++
+	r.stats.TotalHops += int64(len(route))
+	r.stats.TotalDistSec += arrival - t
+	r.stats.TotalQueueSec += queued
+	return Result{Arrival: arrival, Hops: len(route), Queued: queued}
+}
+
+func sameBits(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
+
+// TestSendMatchesRouteReference drives Send and the route-materializing
+// reference with the same random (src, dst, t) streams on meshes and
+// tori of one to four dimensions under every routing function, and
+// requires every Result and the final link state to agree bit for bit.
+// The golden digests only pin x-y routing on a mesh; this covers the
+// torus wraparound and the y-x and adaptive walks.
+func TestSendMatchesRouteReference(t *testing.T) {
+	grids := []struct {
+		name string
+		g    *topo.Grid
+	}{
+		{"mesh-1d-37", topo.New([]int{37})},
+		{"mesh-16x22", topo.New([]int{16, 22})},
+		{"mesh-8x8x8", topo.New([]int{8, 8, 8})},
+		{"mesh-3x4x2x5", topo.New([]int{3, 4, 2, 5})},
+		{"torus-7x6", topo.NewTorus([]int{7, 6})},
+		{"torus-4x5x3", topo.NewTorus([]int{4, 5, 3})},
+	}
+	for _, gc := range grids {
+		for _, routing := range []Routing{RouteXY, RouteYX, RouteAdaptive} {
+			t.Run(gc.name+"/"+routing.String(), func(t *testing.T) {
+				cfg := testConfig()
+				cfg.Routing = routing
+				net, ref := New(gc.g, cfg), newRefNetwork(gc.g, cfg)
+				rng := rand.New(rand.NewSource(int64(gc.g.Size())*7 + int64(routing)))
+				now := 0.0
+				for i := 0; i < 4000; i++ {
+					// Bursts of same-time sends build queues; the
+					// occasional gap lets links drain.
+					if rng.Intn(4) == 0 {
+						now += rng.ExpFloat64() * 0.05
+					}
+					src, dst := rng.Intn(gc.g.Size()), rng.Intn(gc.g.Size())
+					got, want := net.Send(src, dst, now), ref.Send(src, dst, now)
+					if got.Hops != want.Hops || !sameBits(got.Arrival, want.Arrival) || !sameBits(got.Queued, want.Queued) {
+						t.Fatalf("send %d (%d->%d at %g): got %+v, reference %+v", i, src, dst, now, got, want)
+					}
+				}
+				st := net.State()
+				if st.Stats.Messages != ref.stats.Messages || st.Stats.TotalHops != ref.stats.TotalHops ||
+					!sameBits(st.Stats.TotalDistSec, ref.stats.TotalDistSec) || !sameBits(st.Stats.TotalQueueSec, ref.stats.TotalQueueSec) {
+					t.Fatalf("stats %+v, reference %+v", st.Stats, ref.stats)
+				}
+				for li := range ref.freeAt {
+					if !sameBits(st.FreeAt[li], ref.freeAt[li]) || !sameBits(st.BusyTime[li], ref.busyTime[li]) {
+						t.Fatalf("link %v: freeAt/busy %g/%g, reference %g/%g",
+							gc.g.LinkAt(li), st.FreeAt[li], st.BusyTime[li], ref.freeAt[li], ref.busyTime[li])
+					}
+				}
+			})
+		}
 	}
 }

@@ -129,12 +129,12 @@ func (e *Engine) Audit() error {
 	// queue entry for entry and runOrd holds exactly the live set in
 	// ascending (EstEnd, handle) order.
 	if e.trackPend {
-		if len(e.pendBuf) != len(e.queue) {
-			errs = append(errs, violatef("pend-mirror", "pendBuf holds %d entries, queue %d", len(e.pendBuf), len(e.queue)))
+		if q := e.pending(); len(e.pendBuf) != len(q) {
+			errs = append(errs, violatef("pend-mirror", "pendBuf holds %d entries, queue %d", len(e.pendBuf), len(q)))
 		} else {
-			for i := range e.queue {
-				if e.pendBuf[i].Size != e.queue[i].Size || e.pendBuf[i].EstRuntime != e.queue[i].Runtime {
-					errs = append(errs, violatef("pend-mirror", "pendBuf[%d]=%+v disagrees with queue job %+v", i, e.pendBuf[i], e.queue[i]))
+			for i, j := range q {
+				if e.pendBuf[i].Size != j.Size || e.pendBuf[i].EstRuntime != j.Runtime {
+					errs = append(errs, violatef("pend-mirror", "pendBuf[%d]=%+v disagrees with queue job %+v", i, e.pendBuf[i], j))
 					break
 				}
 			}
@@ -226,10 +226,10 @@ func (e *Engine) Audit() error {
 			arrivals++
 		}
 	})
-	if in, out := e.submitted+e.retried, arrivals+len(e.queue)+live+e.finished+e.killed; in != out {
+	if in, out := e.submitted+e.retried, arrivals+e.Pending()+live+e.finished+e.killed; in != out {
 		errs = append(errs, violatef("job-conservation",
 			"%d submitted + %d retried != %d arrival events + %d queued + %d running + %d finished + %d killed",
-			e.submitted, e.retried, arrivals, len(e.queue), live, e.finished, e.killed))
+			e.submitted, e.retried, arrivals, e.Pending(), live, e.finished, e.killed))
 	}
 	if e.killed != e.retried+e.givenUp {
 		errs = append(errs, violatef("kill-split",
@@ -322,7 +322,7 @@ func (e *Engine) rebuildDerived() (err error) {
 	// Scheduler mirrors.
 	if e.trackPend {
 		e.pendBuf = e.pendBuf[:0]
-		for _, j := range e.queue {
+		for _, j := range e.pending() {
 			e.pendBuf = append(e.pendBuf, sched.Pending{Size: j.Size, EstRuntime: j.Runtime})
 		}
 	}

@@ -153,8 +153,12 @@ type Engine struct {
 	events eventQueue
 	seq    int64
 	now    float64
-	queue  []trace.Job // FCFS arrival order, already scaled
-	store  jobStore    // in-flight job state, SoA, handle-indexed
+	// queue holds the pending jobs in FCFS arrival order, already
+	// scaled, as a head-offset deque: the live entries are
+	// queue[qhead:] (see pending and dropHead).
+	queue []trace.Job
+	qhead int
+	store jobStore // in-flight job state, SoA, handle-indexed
 
 	// Scheduler-round state. On the incremental path (RebuildSched
 	// false), pendBuf mirrors queue entry for entry (trackPend) and
@@ -333,7 +337,7 @@ func (e *Engine) initFaults() error {
 	}
 	fa, ok := e.allocator.(alloc.FaultAware)
 	if !ok {
-		return fmt.Errorf("sim: allocator %s cannot mask failed nodes; fault injection needs a FaultAware allocator (mc, mc1x1, genalg, random, or a curve/strategy form)",
+		return fmt.Errorf("sim: allocator %s cannot mask failed nodes; fault injection needs a FaultAware allocator (mc, mc1x1, genalg, random, submesh, or a curve/strategy form without a page suffix)",
 			e.allocator.Name())
 	}
 	if err := e.cfg.Retry.Validate(); err != nil {
@@ -394,7 +398,7 @@ func (e *Engine) NumFree() int { return e.allocator.NumFree() }
 func (e *Engine) Now() float64 { return e.now }
 
 // Pending returns the number of jobs queued but not yet started.
-func (e *Engine) Pending() int { return len(e.queue) }
+func (e *Engine) Pending() int { return len(e.queue) - e.qhead }
 
 // RunningJobs returns the number of jobs currently holding processors.
 func (e *Engine) RunningJobs() int { return e.store.live }
@@ -519,10 +523,34 @@ func (e *Engine) enqueue(j trace.Job) {
 	}
 }
 
-// dequeueAt removes the queue entry a non-FCFS policy picked, keeping
-// the incremental snapshot in lockstep.
+// pending returns the live queue entries in FCFS arrival order.
+func (e *Engine) pending() []trace.Job { return e.queue[e.qhead:] }
+
+// dropHead removes the first n pending entries in amortized O(1): the
+// head offset advances, the slice resets to empty when the queue
+// drains, and the live tail moves down only once the dead prefix
+// exceeds half the slice — each such copy moves fewer entries than
+// were dequeued since the last one. Dispatch from a deep queue
+// therefore never shifts it per job, and the steady state reuses one
+// backing array.
+func (e *Engine) dropHead(n int) {
+	e.qhead += n
+	switch {
+	case e.qhead == len(e.queue):
+		e.queue, e.qhead = e.queue[:0], 0
+	case e.qhead > len(e.queue)/2:
+		e.queue, e.qhead = e.queue[:copy(e.queue, e.queue[e.qhead:])], 0
+	}
+}
+
+// dequeueAt removes pending entry i, which a policy picked, keeping the
+// incremental snapshot in lockstep.
 func (e *Engine) dequeueAt(i int) {
-	e.queue = append(e.queue[:i], e.queue[i+1:]...)
+	if i == 0 {
+		e.dropHead(1)
+	} else {
+		e.queue = append(e.queue[:e.qhead+i], e.queue[e.qhead+i+1:]...)
+	}
 	if e.trackPend {
 		e.pendBuf = append(e.pendBuf[:i], e.pendBuf[i+1:]...)
 	}
@@ -567,7 +595,7 @@ func (e *Engine) Step() bool {
 			// queued work could still be unblocked by a repair;
 			// otherwise the run is over and the infinite failure
 			// stream must not keep it alive.
-			if len(e.queue) == 0 {
+			if e.Pending() == 0 {
 				return false
 			}
 			e.processFault()
@@ -590,7 +618,7 @@ func (e *Engine) Step() bool {
 	switch ev.kind {
 	case kindArrival:
 		e.core.Arrivals++
-		wasEmpty := len(e.queue) == 0
+		wasEmpty := e.Pending() == 0
 		e.enqueue(ev.arr)
 		if e.isFCFS {
 			// Drain every same-timestamp arrival at the head of the queue
@@ -677,7 +705,7 @@ func (e *Engine) Drain() {
 // fault events count as events: a queued job stuck behind failed nodes
 // is only deadlocked once the repair stream has nothing more to offer.
 func (e *Engine) Deadlocked() bool {
-	return e.events.len() == 0 && !e.hasFault && (len(e.queue) > 0 || e.store.live > 0)
+	return e.events.len() == 0 && !e.hasFault && (e.Pending() > 0 || e.store.live > 0)
 }
 
 // RunSource pumps src into the engine lazily: each job is submitted
@@ -719,7 +747,7 @@ func (e *Engine) RunSource(src trace.Source, horizon float64) error {
 	e.Drain()
 	if e.Deadlocked() {
 		return fmt.Errorf("sim: deadlock with %d queued and %d running jobs",
-			len(e.queue), e.store.live)
+			e.Pending(), e.store.live)
 	}
 	// The exhausted-source drain is the open-system run's natural end;
 	// close it with the same invariant pass batch Run applies.
@@ -775,7 +803,7 @@ func (e *Engine) Result() *Result {
 func (e *Engine) account(now float64) {
 	if now > e.lastAccount {
 		e.busyArea += float64(e.busyProcs) * (now - e.lastAccount)
-		e.queueArea += float64(len(e.queue)) * (now - e.lastAccount)
+		e.queueArea += float64(e.Pending()) * (now - e.lastAccount)
 		e.downArea += float64(e.maskedN) * (now - e.lastAccount)
 		e.lastAccount = now
 	}
@@ -970,7 +998,7 @@ func (e *Engine) trySchedule(now float64) {
 		case e.isFCFS:
 			// Fast path: strict FCFS only ever inspects the head.
 			pick = -1
-			if len(e.queue) > 0 && e.queue[0].Size <= e.allocator.NumFree() {
+			if q := e.pending(); len(q) > 0 && q[0].Size <= e.allocator.NumFree() {
 				pick = 0
 			}
 		case e.cfg.RebuildSched:
@@ -979,7 +1007,7 @@ func (e *Engine) trySchedule(now float64) {
 			// order so equal-EstEnd running entries land in the same
 			// relative order the incremental index keeps.
 			e.pendBuf = e.pendBuf[:0]
-			for _, j := range e.queue {
+			for _, j := range e.pending() {
 				e.pendBuf = append(e.pendBuf, sched.Pending{Size: j.Size, EstRuntime: j.Runtime})
 			}
 			e.runBuf = e.runBuf[:0]
@@ -1003,7 +1031,7 @@ func (e *Engine) trySchedule(now float64) {
 			e.block()
 			return
 		}
-		job := e.queue[pick]
+		job := e.pending()[pick]
 		nodes, err := e.allocator.Allocate(alloc.Request{Size: job.Size})
 		if err == alloc.ErrInsufficient {
 			// Contiguous allocators (submesh, buddy) can refuse on
@@ -1032,10 +1060,11 @@ func (e *Engine) trySchedule(now float64) {
 // to the one-at-a-time loop — pinned by the golden digests and the
 // batch equivalence suite.
 func (e *Engine) scheduleFCFSBatch(now float64) {
+	q := e.pending()
 	free := e.allocator.NumFree()
 	n := 0
-	for n < len(e.queue) && e.queue[n].Size <= free {
-		free -= e.queue[n].Size
+	for n < len(q) && q[n].Size <= free {
+		free -= q[n].Size
 		n++
 	}
 	if n == 0 {
@@ -1045,20 +1074,20 @@ func (e *Engine) scheduleFCFSBatch(now float64) {
 	if n == 1 {
 		// Single-job rounds skip the batch call and its result slice —
 		// the common steady-state case stays zero-alloc.
-		job := e.queue[0]
+		job := q[0]
 		nodes, err := e.allocator.Allocate(alloc.Request{Size: job.Size})
 		if err != nil {
 			panic(fmt.Sprintf("sim: batch allocator %s refused %d procs with %d free: %v",
 				e.allocator.Name(), job.Size, e.allocator.NumFree(), err))
 		}
-		e.queue = e.queue[:copy(e.queue, e.queue[1:])]
+		e.dropHead(1)
 		e.startJob(job, nodes, now)
 		e.block()
 		return
 	}
 	e.reqBuf = e.reqBuf[:0]
 	for i := 0; i < n; i++ {
-		e.reqBuf = append(e.reqBuf, alloc.Request{Size: e.queue[i].Size})
+		e.reqBuf = append(e.reqBuf, alloc.Request{Size: q[i].Size})
 	}
 	batch, err := e.batcher.AllocateBatch(e.reqBuf)
 	if err != nil || len(batch) != n {
@@ -1066,9 +1095,9 @@ func (e *Engine) scheduleFCFSBatch(now float64) {
 			e.allocator.Name(), len(batch), n, e.allocator.NumFree(), err))
 	}
 	for i := 0; i < n; i++ {
-		e.startJob(e.queue[i], batch[i], now)
+		e.startJob(q[i], batch[i], now)
 	}
-	e.queue = e.queue[:copy(e.queue, e.queue[n:])]
+	e.dropHead(n)
 	// n was the maximal runnable prefix, so the remaining head (if any)
 	// exceeds the remaining free count: the round ends blocked.
 	e.block()

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"testing"
 
+	"meshalloc/internal/alloc"
 	"meshalloc/internal/fault"
 	"meshalloc/internal/trace"
 )
@@ -258,33 +259,37 @@ func TestStrictCapacitySubmit(t *testing.T) {
 	e.Drain()
 }
 
-// TestFaultAllocatorGate: allocators that cannot mask nodes are
-// rejected at construction, not at the first failure. Submesh can mask
-// (its row bitmasks treat a downed node like a busy one), so it passes
-// the gate; buddy's power-of-two block ledger and the paged free list
-// cannot represent a single dead node and stay gated.
+// TestFaultAllocatorGate pins exactly which allocators NewEngine
+// accepts under fault injection: every alloc.Specs() and Figure 11
+// entry, random and submesh can mask a single downed node (submesh's
+// row bitmasks treat it like a busy one), while buddy's power-of-two
+// block ledger and the paged forms' page ledger cannot and are
+// rejected at construction, not at the first failure. Without faults
+// every one of them is accepted.
 func TestFaultAllocatorGate(t *testing.T) {
-	for _, spec := range []string{"buddy", "hilbert/freelist/page1"} {
+	accepted := map[string]bool{"random": true, "submesh": true, "buddy": false,
+		"hilbert/freelist/page1": false, "scurve/bestfit/page2": false}
+	for _, spec := range alloc.Fig11Specs() {
+		accepted[spec] = true
+	}
+	for _, spec := range alloc.Specs() {
+		if !accepted[spec] {
+			t.Fatalf("alloc.Specs() entry %s missing from Fig11Specs", spec)
+		}
+	}
+	for spec, want := range accepted {
 		cfg := Config{
 			MeshW: 8, MeshH: 8,
 			Alloc: spec, Pattern: "nbody",
 			Faults: fault.Config{MTBF: fault.Dist{Kind: fault.DistExponential, Mean: 100}},
 		}
-		if _, err := NewEngine(cfg); err == nil {
-			t.Errorf("allocator %s accepted under fault injection", spec)
+		if _, err := NewEngine(cfg); (err == nil) != want {
+			t.Errorf("allocator %s under fault injection: accepted=%v, want %v (err %v)", spec, err == nil, want, err)
 		}
 		cfg.Faults = fault.Config{}
 		if _, err := NewEngine(cfg); err != nil {
 			t.Errorf("allocator %s rejected without faults: %v", spec, err)
 		}
-	}
-	// Submesh is fault-aware: construction must succeed.
-	if _, err := NewEngine(Config{
-		MeshW: 8, MeshH: 8,
-		Alloc: "submesh", Pattern: "nbody",
-		Faults: fault.Config{MTBF: fault.Dist{Kind: fault.DistExponential, Mean: 100}},
-	}); err != nil {
-		t.Errorf("submesh rejected under fault injection: %v", err)
 	}
 }
 

@@ -132,9 +132,11 @@ type Config struct {
 	// draws, script times, retry delays) are given in original trace
 	// seconds and contracted by TimeScale like job runtimes. When
 	// Faults.Seed is zero, Seed derives the failure clocks. The
-	// configured allocator must implement alloc.FaultAware; NewEngine
-	// rejects contiguous baselines (submesh, buddy, paged forms) that
-	// cannot mask individual nodes.
+	// configured allocator must implement alloc.FaultAware, which every
+	// allocator but two does: NewEngine rejects buddy and the paged
+	// forms (<curve>/<strategy>/page<s>), whose block ledgers track
+	// whole blocks rather than individual nodes. Submesh masks a downed
+	// node like a busy one and is accepted.
 	Faults fault.Config
 	// Retry is the policy for jobs killed by a node failure (see
 	// fault.Retry). The zero value resubmits killed jobs immediately

@@ -167,8 +167,8 @@ func (e *Engine) Snapshot(out io.Writer) error {
 	// The pending FCFS queue and the event queue. Events are visited in
 	// queue-internal order; each carries its assigned seq, so any visit
 	// order restores an equivalent queue.
-	w.Int(len(e.queue))
-	for _, j := range e.queue {
+	w.Int(e.Pending())
+	for _, j := range e.pending() {
 		writeJob(w, j)
 	}
 	w.Int(e.events.len())

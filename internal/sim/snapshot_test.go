@@ -467,3 +467,62 @@ func TestAuditDetectsCorruption(t *testing.T) {
 	check("job-conservation", "job-conservation", func(e *Engine) { e.submitted++ })
 	check("event-seq", "event-seq", func(e *Engine) { e.seq = 0 })
 }
+
+// TestSnapshotResumeWithQueueHeadOffset checkpoints while the pending
+// queue's head offset is nonzero — dispatched entries still occupy the
+// front of its backing slice — and requires the snapshot to carry only
+// the live entries: the same engine with its queue compacted to offset
+// zero writes the same bytes, and the resumed run reproduces the
+// uninterrupted digest.
+func TestSnapshotResumeWithQueueHeadOffset(t *testing.T) {
+	tc := resumeCases[0]
+	cfg := tc.cfg
+	cfg.Load = 0.05 // contracted arrivals overload the machine, so the queue stays deep
+	tr := tc.tr()
+	res, err := Run(cfg, tr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := goldenDigest(res)
+
+	e, err := NewEngine(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, j := range tr.Jobs {
+		if err := e.Submit(j); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for e.qhead == 0 || e.Pending() < 2 {
+		if !e.Step() {
+			t.Fatal("run ended before the queue head offset became nonzero")
+		}
+	}
+	var blob bytes.Buffer
+	if err := e.Snapshot(&blob); err != nil {
+		t.Fatal(err)
+	}
+	e.queue, e.qhead = append([]trace.Job(nil), e.pending()...), 0
+	var compacted bytes.Buffer
+	if err := e.Snapshot(&compacted); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(compacted.Bytes(), blob.Bytes()) {
+		t.Fatal("snapshot depends on the queue's head offset")
+	}
+	r, err := RestoreEngine(bytes.NewReader(blob.Bytes()), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r.Pending() != e.Pending() {
+		t.Fatalf("restored %d pending jobs, want %d", r.Pending(), e.Pending())
+	}
+	r.Drain()
+	if err := r.Audit(); err != nil {
+		t.Fatalf("post-drain audit: %v", err)
+	}
+	if got := goldenDigest(r.Result()); got != want {
+		t.Fatalf("resumed digest %s, want %s", got, want)
+	}
+}

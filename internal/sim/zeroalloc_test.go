@@ -8,6 +8,7 @@ package sim
 // trySchedule round in isolation.
 
 import (
+	"fmt"
 	"testing"
 
 	"meshalloc/internal/trace"
@@ -98,6 +99,121 @@ func TestTryScheduleDispatchSteadyStateAllocs(t *testing.T) {
 			}
 			if e.Finished() != id {
 				t.Fatalf("finished %d of %d jobs", e.Finished(), id)
+			}
+		})
+	}
+}
+
+// deepFCFSEngine returns an FCFS engine on a 64-processor machine with
+// one job running and depth whole-machine jobs queued behind it, and a
+// cycle that appends one job to the tail and steps until the next job
+// finishes — so every cycle dispatches exactly one job from the head
+// of a queue that stays depth deep.
+func deepFCFSEngine(tb testing.TB, depth int) (e *Engine, cycle func()) {
+	tb.Helper()
+	e, err := NewEngine(Config{
+		MeshW: 8, MeshH: 8,
+		Alloc: "hilbert/bestfit", Pattern: "nbody", Seed: 1,
+		KeepRecords: Discard, KeepNodes: Discard,
+	})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	id := 0
+	submit := func() {
+		id++
+		if err := e.Submit(trace.Job{ID: id, Size: 64, Arrival: e.Now(), Runtime: 5}); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	for i := 0; i <= depth; i++ {
+		submit()
+	}
+	cycle = func() {
+		submit()
+		for done := e.Finished(); e.Finished() == done; {
+			if !e.Step() {
+				tb.Fatal("engine ran out of events")
+			}
+		}
+	}
+	return e, cycle
+}
+
+// TestFCFSDeepQueueDispatchAllocs pins dispatch from the head of a deep
+// FCFS queue at the steady-state dispatch bound: the head-offset deque
+// advances instead of shifting the queue, and reuses its backing array
+// rather than reallocating as the head moves.
+func TestFCFSDeepQueueDispatchAllocs(t *testing.T) {
+	const depth = 1500
+	e, cycle := deepFCFSEngine(t, depth)
+	for i := 0; i < 2*depth; i++ {
+		cycle() // warm pools and scratch; cycle the deque past a compaction
+	}
+	n := testing.AllocsPerRun(2*depth, cycle)
+	if n > 4 {
+		t.Fatalf("deep-queue dispatch allocates %.1f objects/job, want <= 4", n)
+	}
+	if e.Pending() != depth {
+		t.Fatalf("queue depth %d, want %d", e.Pending(), depth)
+	}
+}
+
+// TestQueueDequeKeepsBackingArray pins the pending deque's bookkeeping:
+// dropping the head advances the offset, the live tail moves down once
+// the dead prefix exceeds half the slice, a drained queue resets to
+// [:0], and none of it gives up the backing array — so an enqueue
+// after a drain does not allocate (a bare queue[n:] reslice would).
+func TestQueueDequeKeepsBackingArray(t *testing.T) {
+	e := &Engine{}
+	for i := 0; i < 8; i++ {
+		e.enqueue(trace.Job{ID: i})
+	}
+	c := cap(e.queue)
+	check := func(step string, head int, ids ...int) {
+		t.Helper()
+		if e.qhead != head || cap(e.queue) != c || e.Pending() != len(ids) {
+			t.Fatalf("%s: head %d cap %d pending %d; want head %d cap %d pending %d",
+				step, e.qhead, cap(e.queue), e.Pending(), head, c, len(ids))
+		}
+		for i, j := range e.pending() {
+			if j.ID != ids[i] {
+				t.Fatalf("%s: pending[%d] is job %d, want %d", step, i, j.ID, ids[i])
+			}
+		}
+	}
+	e.dropHead(3)
+	check("advance", 3, 3, 4, 5, 6, 7)
+	e.dropHead(2)
+	check("compact", 0, 5, 6, 7)
+	e.dequeueAt(1)
+	check("remove inside", 0, 5, 7)
+	e.dequeueAt(0)
+	check("remove head", 1, 7)
+	e.dropHead(1)
+	check("drain", 0)
+	if n := testing.AllocsPerRun(100, func() {
+		e.enqueue(trace.Job{ID: 9})
+		e.dropHead(1)
+	}); n != 0 {
+		t.Fatalf("enqueue after drain allocates %.1f objects, want 0", n)
+	}
+}
+
+// BenchmarkFCFSDispatchDeepQueue times one head dispatch from FCFS
+// queues 100 and 10,000 deep; with O(1) dequeue ns/op is flat across
+// the two.
+func BenchmarkFCFSDispatchDeepQueue(b *testing.B) {
+	for _, depth := range []int{100, 10000} {
+		b.Run(fmt.Sprintf("depth=%d", depth), func(b *testing.B) {
+			_, cycle := deepFCFSEngine(b, depth)
+			for i := 0; i < 1000; i++ {
+				cycle()
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				cycle()
 			}
 		})
 	}
