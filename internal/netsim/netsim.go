@@ -22,6 +22,7 @@ package netsim
 
 import (
 	"fmt"
+	"math"
 
 	"meshalloc/internal/topo"
 )
@@ -145,9 +146,10 @@ type Network struct {
 	busyTime []float64 // per directed link: accumulated service time
 	stats    Stats
 	clock    float64 // latest Send time, for the monotonicity check
-	// The grid's shape, copied out so Send walks link indices without
-	// calling back into topo: nd axes of extent dim[a], node-id stride
-	// stride[a], 2*nd directed links per node, wraparound when torus.
+	// The grid's shape, copied out for the route decode: nd axes of
+	// extent dim[a], node-id stride stride[a], 2*nd directed links per
+	// node, wraparound when torus. Send reads endpoint coordinates
+	// from the grid's table through the inlined m.Coord.
 	nd     int
 	nd2    int
 	dim    [topo.MaxDims]int
@@ -160,12 +162,25 @@ type Network struct {
 	route, alt [2 * topo.MaxDims]span
 }
 
+// Validate returns an error unless the configuration has a positive
+// flit count and finite, non-negative timings. NaN and ±Inf are
+// rejected explicitly: NaN fails every comparison, so a plain negativity
+// check lets it through to turn every arrival time into garbage.
+func (c Config) Validate() error {
+	if c.MessageFlits <= 0 || !finiteNonNeg(c.FlitCycle) || !finiteNonNeg(c.HopLatency) || !finiteNonNeg(c.LocalDelay) {
+		return fmt.Errorf("netsim: invalid config %+v", c)
+	}
+	return nil
+}
+
+func finiteNonNeg(x float64) bool { return x >= 0 && x <= math.MaxFloat64 }
+
 // New returns a network over the grid g with the given configuration. It
-// panics on non-positive flit counts or negative timings: network timing
-// is static configuration.
+// panics on a configuration Validate rejects: network timing is static
+// configuration.
 func New(g *topo.Grid, cfg Config) *Network {
-	if cfg.MessageFlits <= 0 || cfg.FlitCycle < 0 || cfg.HopLatency < 0 || cfg.LocalDelay < 0 {
-		panic(fmt.Sprintf("netsim: invalid config %+v", cfg))
+	if err := cfg.Validate(); err != nil {
+		panic(err.Error())
 	}
 	n := &Network{
 		m:        g,
@@ -276,31 +291,28 @@ func (n *Network) spans(sp *[2 * topo.MaxDims]span, src int, cs, cd *topo.Point,
 		if c == d {
 			continue
 		}
-		ext, stride := n.dim[a], n.stride[a]
-		pos, hops := d > c, d-c
-		if !pos {
-			hops = c - d
+		stride := n.stride[a]
+		dir, step, hops := 2*a, stride*n.nd2, d-c
+		if hops < 0 {
+			dir, step, hops = 2*a+1, -step, -hops
 		}
+		// first counts the hops before the walk crosses the axis end,
+		// which only a torus route ever does; wrap is the node it
+		// re-enters at, coordinate 0 going up or ext-1 going down.
+		first, wrap := hops, 0
 		if n.torus {
+			ext := n.dim[a]
 			fwd := d - c
 			if fwd < 0 {
 				fwd += ext
 			}
-			pos, hops = fwd <= ext-fwd, fwd
-			if !pos {
-				hops = ext - fwd
+			if fwd <= ext-fwd {
+				dir, step, hops = 2*a, stride*n.nd2, fwd
+				first, wrap = ext-c, id-c*stride
+			} else {
+				dir, step, hops = 2*a+1, -stride*n.nd2, ext-fwd
+				first, wrap = c+1, id+(ext-1-c)*stride
 			}
-		}
-		// first counts the hops before the walk crosses the axis end
-		// (only a torus route ever does); wrap is the node it re-enters
-		// at, coordinate 0 going up or ext-1 going down.
-		var dir, step, first, wrap int
-		if pos {
-			dir, step, first = 2*a, stride*n.nd2, ext-c
-			wrap = id - c*stride
-		} else {
-			dir, step, first = 2*a+1, -stride*n.nd2, c+1
-			wrap = id + (ext-1-c)*stride
 		}
 		if first >= hops {
 			sp[k] = span{li: id*n.nd2 + dir, n: hops, step: step}

@@ -16,11 +16,24 @@ func testConfig() Config {
 
 func TestNewRejectsBadConfig(t *testing.T) {
 	m := mesh.New(4, 4)
+	if err := testConfig().Validate(); err != nil {
+		t.Fatalf("valid config rejected: %v", err)
+	}
 	for _, cfg := range []Config{
 		{MessageFlits: 0, FlitCycle: 0.01},
 		{MessageFlits: 4, FlitCycle: -1},
 		{MessageFlits: 4, FlitCycle: 0.01, HopLatency: -0.1},
+		{MessageFlits: 4, FlitCycle: 0.01, LocalDelay: -0.1},
+		{MessageFlits: 4, FlitCycle: math.NaN()},
+		{MessageFlits: 4, FlitCycle: math.Inf(1)},
+		{MessageFlits: 4, FlitCycle: 0.01, HopLatency: math.NaN()},
+		{MessageFlits: 4, FlitCycle: 0.01, HopLatency: math.Inf(-1)},
+		{MessageFlits: 4, FlitCycle: 0.01, LocalDelay: math.NaN()},
+		{MessageFlits: 4, FlitCycle: 0.01, LocalDelay: math.Inf(1)},
 	} {
+		if cfg.Validate() == nil {
+			t.Errorf("Validate(%+v) should fail", cfg)
+		}
 		func() {
 			defer func() {
 				if recover() == nil {
@@ -499,23 +512,110 @@ func TestSendMatchesRouteReference(t *testing.T) {
 						now += rng.ExpFloat64() * 0.05
 					}
 					src, dst := rng.Intn(gc.g.Size()), rng.Intn(gc.g.Size())
-					got, want := net.Send(src, dst, now), ref.Send(src, dst, now)
-					if got.Hops != want.Hops || !sameBits(got.Arrival, want.Arrival) || !sameBits(got.Queued, want.Queued) {
-						t.Fatalf("send %d (%d->%d at %g): got %+v, reference %+v", i, src, dst, now, got, want)
-					}
+					sendBoth(t, net, ref, src, dst, now)
 				}
-				st := net.State()
-				if st.Stats.Messages != ref.stats.Messages || st.Stats.TotalHops != ref.stats.TotalHops ||
-					!sameBits(st.Stats.TotalDistSec, ref.stats.TotalDistSec) || !sameBits(st.Stats.TotalQueueSec, ref.stats.TotalQueueSec) {
-					t.Fatalf("stats %+v, reference %+v", st.Stats, ref.stats)
-				}
-				for li := range ref.freeAt {
-					if !sameBits(st.FreeAt[li], ref.freeAt[li]) || !sameBits(st.BusyTime[li], ref.busyTime[li]) {
-						t.Fatalf("link %v: freeAt/busy %g/%g, reference %g/%g",
-							gc.g.LinkAt(li), st.FreeAt[li], st.BusyTime[li], ref.freeAt[li], ref.busyTime[li])
-					}
-				}
+				requireSameState(t, gc.g, net, ref)
 			})
 		}
+	}
+}
+
+// sendBoth sends one message through Send and the reference and fails
+// unless the two Results are bit-equal.
+func sendBoth(t *testing.T, net *Network, ref *refNetwork, src, dst int, now float64) {
+	t.Helper()
+	got, want := net.Send(src, dst, now), ref.Send(src, dst, now)
+	if got.Hops != want.Hops || !sameBits(got.Arrival, want.Arrival) || !sameBits(got.Queued, want.Queued) {
+		t.Fatalf("send %d->%d at %g: got %+v, reference %+v", src, dst, now, got, want)
+	}
+}
+
+// requireSameState fails unless the network's final statistics and
+// per-link state are bit-equal to the reference's.
+func requireSameState(t *testing.T, g *topo.Grid, net *Network, ref *refNetwork) {
+	t.Helper()
+	st := net.State()
+	if st.Stats.Messages != ref.stats.Messages || st.Stats.TotalHops != ref.stats.TotalHops ||
+		!sameBits(st.Stats.TotalDistSec, ref.stats.TotalDistSec) || !sameBits(st.Stats.TotalQueueSec, ref.stats.TotalQueueSec) {
+		t.Fatalf("stats %+v, reference %+v", st.Stats, ref.stats)
+	}
+	for li := range ref.freeAt {
+		if !sameBits(st.FreeAt[li], ref.freeAt[li]) || !sameBits(st.BusyTime[li], ref.busyTime[li]) {
+			t.Fatalf("link %v: freeAt/busy %g/%g, reference %g/%g",
+				g.LinkAt(li), st.FreeAt[li], st.BusyTime[li], ref.freeAt[li], ref.busyTime[li])
+		}
+	}
+}
+
+// FuzzSendMatchesRouteReference extends TestSendMatchesRouteReference
+// to fuzzed machines and traffic: a 1- to 4-D mesh or torus with
+// extents 1..6 (one byte of shape per axis), any routing function, and
+// a message stream of 5-byte records (little-endian 16-bit src and dst,
+// taken modulo the machine size, then Δt). Every Result and the final
+// link state must be bit-equal to the route-materializing reference.
+func FuzzSendMatchesRouteReference(f *testing.F) {
+	f.Add(uint8(0), uint32(0x00000006), false, uint8(RouteXY), []byte{0, 0, 5, 0, 0, 3, 0, 1, 0, 0})
+	f.Add(uint8(1), uint32(0x00000504), true, uint8(RouteYX), []byte{0, 0, 29, 0, 0, 3, 0, 17, 0, 0, 29, 0, 0, 0, 8})
+	f.Add(uint8(2), uint32(0x00050506), true, uint8(RouteAdaptive), []byte{0, 0, 124, 0, 0, 7, 0, 80, 0, 1, 124, 0, 0, 0, 0})
+	f.Add(uint8(3), uint32(0x05040302), false, uint8(RouteAdaptive), []byte{1, 0, 70, 0, 0, 70, 0, 1, 0, 0, 200, 1, 9, 0, 33})
+	f.Fuzz(func(t *testing.T, ndSel uint8, shape uint32, torus bool, routing uint8, msgs []byte) {
+		dims := make([]int, 1+int(ndSel)%topo.MaxDims)
+		for a := range dims {
+			dims[a] = 1 + int(shape>>(8*a)&0xff)%6
+		}
+		g := topo.New(dims)
+		if torus {
+			g = topo.NewTorus(dims)
+		}
+		cfg := testConfig()
+		cfg.Routing = Routing(routing % 3)
+		net, ref := New(g, cfg), newRefNetwork(g, cfg)
+		now := 0.0
+		for i := 0; i+4 < len(msgs) && i < 5*512; i += 5 {
+			src := (int(msgs[i]) | int(msgs[i+1])<<8) % g.Size()
+			dst := (int(msgs[i+2]) | int(msgs[i+3])<<8) % g.Size()
+			// Δt of zero (a quarter of the byte values) builds queues;
+			// the rest let links drain by up to ~6 service times.
+			now += float64(msgs[i+4]/4) * 0.01
+			sendBoth(t, net, ref, src, dst, now)
+		}
+		requireSameState(t, g, net, ref)
+	})
+}
+
+// BenchmarkSend measures Send alone over a fixed pseudo-random stream
+// of 4,096 (src, dst) pairs per op, on the paper's 16x22 mesh under x-y
+// routing and on the 8x8x8 cube. Sends come in same-time bursts of
+// eight, so links queue as they do under a job's communication phase.
+func BenchmarkSend(b *testing.B) {
+	const msgs = 4096
+	for _, bc := range []struct {
+		name string
+		g    *topo.Grid
+	}{
+		{"16x22-xy", topo.New([]int{16, 22})},
+		{"8x8x8-xy", topo.New([]int{8, 8, 8})},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			rng := rand.New(rand.NewSource(1))
+			src, dst := make([]int, msgs), make([]int, msgs)
+			for i := range src {
+				src[i], dst[i] = rng.Intn(bc.g.Size()), rng.Intn(bc.g.Size())
+			}
+			cfg := DefaultConfig()
+			net := New(bc.g, cfg)
+			gap := cfg.serviceTime() / 4
+			now := 0.0
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				for j := range src {
+					if j%8 == 0 {
+						now += gap
+					}
+					net.Send(src[j], dst[j], now)
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*msgs), "ns/msg")
+		})
 	}
 }

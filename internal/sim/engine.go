@@ -260,6 +260,9 @@ func NewEngine(cfg Config) (*Engine, error) {
 			return nil, fmt.Errorf("sim: invalid machine extent %d on axis %d", d, i)
 		}
 	}
+	if err := cfg.Net.Validate(); err != nil {
+		return nil, err
+	}
 	var m *topo.Grid
 	if cfg.Torus {
 		m = topo.NewTorus(dims)

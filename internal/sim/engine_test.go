@@ -6,6 +6,7 @@ import (
 	"runtime"
 	"testing"
 
+	"meshalloc/internal/netsim"
 	"meshalloc/internal/trace"
 )
 
@@ -191,6 +192,34 @@ func TestEngineSubmitValidates(t *testing.T) {
 	}
 	if err := e.Submit(trace.Job{ID: 1, Size: 0, Runtime: 10}); err == nil {
 		t.Fatal("zero-size job accepted")
+	}
+}
+
+// TestNewEngineRejectsNonFiniteNet requires a NaN or infinite network
+// timing to fail NewEngine with an error rather than panic in netsim or
+// run with garbage arrival times.
+func TestNewEngineRejectsNonFiniteNet(t *testing.T) {
+	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), -1} {
+		for field := 0; field < 3; field++ {
+			cfg := baseConfig()
+			cfg.Net = netsim.DefaultConfig()
+			switch field {
+			case 0:
+				cfg.Net.FlitCycle = bad
+			case 1:
+				cfg.Net.HopLatency = bad
+			default:
+				cfg.Net.LocalDelay = bad
+			}
+			if _, err := NewEngine(cfg); err == nil {
+				t.Errorf("NewEngine accepted Net %+v", cfg.Net)
+			}
+		}
+	}
+	cfg := baseConfig()
+	cfg.Net = netsim.DefaultConfig()
+	if _, err := NewEngine(cfg); err != nil {
+		t.Fatalf("default network timing rejected: %v", err)
 	}
 }
 

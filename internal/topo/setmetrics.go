@@ -15,9 +15,10 @@ package topo
 //     int the double loop produces — not an approximation.
 //   - CountComponents runs the same flood fill as Components but stamps
 //     epochs into reusable scratch instead of building sorted [][]int
-//     slices, and steps to neighbors by stride arithmetic instead of
-//     Coord/ID round trips. The component count is traversal-order
-//     independent, so it equals len(Components(ids)) exactly.
+//     slices, and steps to neighbors by stride arithmetic guarded by the
+//     grid's coordinate table instead of Coord/ID round trips. The
+//     component count is traversal-order independent, so it equals
+//     len(Components(ids)) exactly.
 //
 // Both take a *SetScratch the caller owns, keeping steady-state use
 // allocation-free; the reference walks remain in topo.go for callers
@@ -55,11 +56,11 @@ func (sc *SetScratch) ensure(g *Grid) {
 }
 
 // TotalPairwiseDistCounted returns TotalPairwiseDist(ids) via per-axis
-// histograms: O(k·nd + Σ extents) on a mesh, plus an O(extent²) occupied-
-// bucket pass per wrapped axis on a torus (extents are small, so the
-// quadratic term is over buckets, never over nodes). The result is
-// integer-exact, so AvgPairwiseDist derived from it is bit-identical to
-// the reference.
+// histograms keyed by the coordinate table: O(k·nd + Σ extents) on a
+// mesh, plus an O(extent²) occupied-bucket pass per wrapped axis on a
+// torus (extents are small, so the quadratic term is over buckets,
+// never over nodes). The result is integer-exact, so AvgPairwiseDist
+// derived from it is bit-identical to the reference.
 func (g *Grid) TotalPairwiseDistCounted(ids []int, sc *SetScratch) int {
 	if len(ids) < 2 {
 		return 0
@@ -71,13 +72,12 @@ func (g *Grid) TotalPairwiseDistCounted(ids []int, sc *SetScratch) int {
 		if ext == 1 {
 			continue
 		}
-		stride := g.stride[axis]
 		hist := sc.hist[:ext]
 		for i := range hist {
 			hist[i] = 0
 		}
 		for _, id := range ids {
-			hist[(id/stride)%ext]++
+			hist[g.coords[id][axis]]++
 		}
 		if g.torus {
 			// Wrapped axis: pair buckets directly. O(ext²) over occupied
@@ -129,7 +129,7 @@ func (g *Grid) AvgPairwiseDistCounted(ids []int, sc *SetScratch) float64 {
 
 // CountComponents returns len(Components(ids)) without materializing the
 // components: an epoch-stamped flood fill whose neighbor steps are
-// stride additions guarded by one coordinate extraction per axis.
+// stride additions guarded by the node's coordinates from the table.
 func (g *Grid) CountComponents(ids []int, sc *SetScratch) int {
 	if len(ids) == 0 {
 		return 0
@@ -150,13 +150,14 @@ func (g *Grid) CountComponents(ids []int, sc *SetScratch) int {
 		for len(stack) > 0 {
 			u := stack[len(stack)-1]
 			stack = stack[:len(stack)-1]
+			pu := &g.coords[u]
 			for axis := 0; axis < g.nd; axis++ {
 				ext := g.dim[axis]
 				if ext == 1 {
 					continue
 				}
 				stride := g.stride[axis]
-				c := (u / stride) % ext
+				c := pu[axis]
 				// Toward increasing coordinates, wrapping on a torus.
 				v := -1
 				if c+1 < ext {

@@ -63,17 +63,53 @@ func (m refMesh) shell(c Point, w, h, k int) []int {
 	return ids
 }
 
+// refCoord is the digit-peeling decode Coord's table replaced: one
+// division per axis, highest axis first.
+func refCoord(g *Grid, id int) Point {
+	var p Point
+	rem := id
+	for i := g.nd - 1; i > 0; i-- {
+		p[i] = rem / g.stride[i]
+		rem -= p[i] * g.stride[i]
+	}
+	p[0] = rem
+	return p
+}
+
+// TestIDCoordRoundTrip checks the coordinate table on meshes and tori
+// against the division reference, the ID round trip, the constant
+// out-of-range panic and that Coord never allocates.
 func TestIDCoordRoundTrip(t *testing.T) {
+	const msg = "topo: Coord of id outside the grid"
 	for _, dims := range [][]int{{7}, {16, 22}, {8, 8, 8}, {3, 4, 5}, {2, 3, 4, 5}} {
-		g := New(dims)
-		for id := 0; id < g.Size(); id++ {
-			p := g.Coord(id)
-			if !g.Contains(p) {
-				t.Fatalf("dims %v: Coord(%d) = %v not contained", dims, id, p)
+		for _, g := range []*Grid{New(dims), NewTorus(dims)} {
+			for id := 0; id < g.Size(); id++ {
+				p := g.Coord(id)
+				if want := refCoord(g, id); p != want {
+					t.Fatalf("dims %v torus %v: Coord(%d) = %v, reference %v", dims, g.Torus(), id, p, want)
+				}
+				if !g.Contains(p) {
+					t.Fatalf("dims %v: Coord(%d) = %v not contained", dims, id, p)
+				}
+				if back := g.ID(p); back != id {
+					t.Fatalf("dims %v: ID(Coord(%d)) = %d", dims, id, back)
+				}
 			}
-			if back := g.ID(p); back != id {
-				t.Fatalf("dims %v: ID(Coord(%d)) = %d", dims, id, back)
+			for _, id := range []int{-1, g.Size()} {
+				func() {
+					defer func() {
+						if r := recover(); r != msg {
+							t.Errorf("dims %v: Coord(%d) panicked with %v, want %q", dims, id, r, msg)
+						}
+					}()
+					g.Coord(id)
+				}()
 			}
+			var sink Point
+			if n := testing.AllocsPerRun(100, func() { sink = g.Coord(g.Size() - 1) }); n != 0 {
+				t.Errorf("dims %v: Coord allocates %v times per call", dims, n)
+			}
+			_ = sink
 		}
 	}
 }
