@@ -854,46 +854,51 @@ func BenchmarkBitsetScan(b *testing.B) {
 	}
 }
 
-// BenchmarkIncrementalMC times the MC scorer's same-size steady state —
-// the workload where cached candidate scores survive between jobs — with
-// the incremental score cache on versus the full per-event rescan (the
-// PR 3 index path). Both runs allocate bit-identically; only the share
-// of candidates rescored per event differs (BENCH_7.json; see BENCH.md).
-func BenchmarkIncrementalMC(b *testing.B) {
+// BenchmarkMCAllocate times indexed MC on the closed SDSC replay's
+// traffic rather than a same-size steady state: the machine is held at
+// about 60% occupancy by fragmented mixed-size jobs, and each iteration
+// is one Allocate+Release whose size cycles through a fixed mixed list,
+// so consecutive requests almost never share a shape (see BENCH.md).
+func BenchmarkMCAllocate(b *testing.B) {
+	sizes := []int{1, 9, 4, 32, 2, 16, 7, 24, 64, 3, 12, 48}
 	machines := []struct {
 		name string
 		dims []int
 	}{
-		{"32x32", []int{32, 32}},
-		{"16x16x16", []int{16, 16, 16}},
+		{"16x22", []int{16, 22}},
+		{"8x8x8", []int{8, 8, 8}},
 	}
 	for _, m := range machines {
-		for _, size := range []int{16, 64} {
-			var wall [2]float64
-			for vi, variant := range []string{"cached", "rescan"} {
-				b.Run(fmt.Sprintf("%s/size%d/%s", m.name, size, variant), func(b *testing.B) {
-					g := topo.New(m.dims)
-					a := alloc.NewMC(g)
-					if variant == "rescan" {
-						a.SetScoreCache(false)
-					}
-					prefillAllocator(b, a, g.Size())
-					b.ResetTimer()
-					for i := 0; i < b.N; i++ {
-						ids, err := a.Allocate(alloc.Request{Size: size})
-						if err != nil {
-							b.Fatal(err)
-						}
-						a.Release(ids)
-					}
-					wall[vi] = float64(b.Elapsed().Nanoseconds()) / float64(b.N)
-					reportMetric(b, "ns_per_alloc", wall[vi])
-					if vi == 1 && wall[1] > 0 {
-						reportMetric(b, "speedup_cached_vs_rescan", wall[1]/wall[0])
-					}
-				})
+		b.Run(m.name, func(b *testing.B) {
+			g := topo.New(m.dims)
+			a := alloc.NewMC(g)
+			// Fill to 80% busy, then free jobs in allocation order,
+			// skipping any whose release would drop below 60% busy: the
+			// holes scatter through the packed region (60.2% busy on
+			// 16x22, 60.4% on 8x8x8).
+			var live [][]int
+			for i := 0; a.NumFree() > g.Size()/5; i++ {
+				ids, err := a.Allocate(alloc.Request{Size: min(sizes[i%len(sizes)], a.NumFree()-g.Size()/5)})
+				if err != nil {
+					b.Fatal(err)
+				}
+				live = append(live, ids)
 			}
-		}
+			for _, ids := range live {
+				if a.NumFree()+len(ids) <= g.Size()*2/5 {
+					a.Release(ids)
+				}
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				ids, err := a.Allocate(alloc.Request{Size: sizes[i%len(sizes)]})
+				if err != nil {
+					b.Fatal(err)
+				}
+				a.Release(ids)
+			}
+			reportMetric(b, "ns_per_alloc", float64(b.Elapsed().Nanoseconds())/float64(b.N))
+		})
 	}
 }
 

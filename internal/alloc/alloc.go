@@ -419,15 +419,18 @@ func (t *tracker) check(size int) error {
 // single processor. On n-D machines the shells are box surfaces instead
 // of rings; the scoring rule is unchanged.
 //
-// By default the candidate loop never touches the shells: an
-// incremental occupancy index (see internal/occupancy) answers "free
-// processors within shell k" from box counts, the per-shell weights are
-// summed arithmetically, and a monotone lower bound prunes candidates
-// that cannot undercut the incumbent. Only the single winning center
-// performs a real shell walk to materialize ids, so the selection is
-// bit-identical to the reference scorer by construction — the same
-// shells, the same truncation, the same first-strictly-better
-// tie-breaking — at a fraction of the work.
+// By default the candidate loop never touches the shells: every
+// Allocate scores every free candidate from scratch against an
+// incremental occupancy index (see internal/occupancy), which answers
+// "free processors within shell k" from one box count. Each candidate
+// centers its base box once (topo.Grid.ShellBase) and then pays one
+// clip per axis per shell (topo.Grid.ShellBounds); the per-shell weights
+// are summed arithmetically, and a monotone lower bound prunes
+// candidates that cannot undercut the incumbent. Only the single
+// winning center performs a real shell walk to materialize ids, so the
+// selection is bit-identical to the reference scorer by construction —
+// the same shells, the same truncation, the same first-strictly-better
+// tie-breaking in row-major center order — at a fraction of the work.
 type MC struct {
 	tracker
 	oneByOne bool
@@ -440,170 +443,6 @@ type MC struct {
 	// workers belongs to the opt-in parallel candidate scan (see
 	// parallel.go); workers <= 1 (the default) keeps the sequential loop.
 	workers int
-	// cache is the incremental score cache of the indexed scorer;
-	// noCache (SetScoreCache(false)) restores scoring from scratch.
-	cache   mcCache
-	noCache bool
-	// maskBuf feeds single-node fault deltas into cacheInvalidate
-	// without a per-event allocation.
-	maskBuf [1]int
-}
-
-// mcCache entry states: an entry is either the exact cost of centering
-// the current (ext, size) request on a node, or a lower bound on that
-// cost recorded when the incumbent prune aborted the scoring loop.
-const (
-	cacheInvalid uint8 = iota
-	cacheExact
-	cacheBound
-)
-
-// mcCache carries candidate scores across consecutive Allocate calls of
-// the indexed scorer. A cached entry records either the exact cost of
-// centering the current (ext, size) request on a node (cacheExact) or a
-// lower bound on it from a pruned scoring loop (cacheBound), together
-// with the clipped outer box of the shell the loop stopped at. Either
-// kind stays correct until some allocate/release changes a node inside
-// that box: the shell free counts the value was summed from can only
-// change when one of their nodes flips, and all of them lie within the
-// stopping box — a pruned bound in particular remains a lower bound under
-// any occupancy outside its box, because the processors still missing at
-// the stopping shell must sit at larger shells whatever happens out
-// there. take/Release therefore invalidate exactly the entries whose
-// stored box intersects the bounding box of the changed ids (a superset
-// of the truly affected centers — over-invalidation is safe,
-// under-invalidation never happens).
-//
-// During a scan, an exact entry substitutes for the scoring loop and a
-// bound entry at or above the incumbent proves the candidate cannot win
-// (its exact cost is at least the bound, and elections need strictly
-// less). Which entries hold which kind may differ between worker counts
-// or scan orders — pruning depends on the incumbent — but every stored
-// value is occupancy-faithful, which is why cached scans stay
-// bit-identical to uncached ones.
-type mcCache struct {
-	live   bool
-	ext    topo.Point
-	size   int
-	state  []uint8
-	cost   []int        // exact cost (cacheExact) or lower bound (cacheBound)
-	lo, hi []topo.Point // clipped outer box of the cached stopping shell
-}
-
-// ensure arms the cache for one (ext, size) request shape, dropping every
-// entry when the shape changed since the previous Allocate.
-func (c *mcCache) ensure(n int, ext topo.Point, size int) {
-	if c.state == nil {
-		c.state = make([]uint8, n)
-		c.cost = make([]int, n)
-		c.lo = make([]topo.Point, n)
-		c.hi = make([]topo.Point, n)
-	}
-	if !c.live || c.ext != ext || c.size != size {
-		clear(c.state)
-		c.live, c.ext, c.size = true, ext, size
-	}
-}
-
-// store records a scored candidate — kind cacheExact with its exact cost,
-// or cacheBound with the prune's lower bound — and the clipped outer box
-// of the shell rad the scoring loop stopped at.
-func (c *mcCache) store(g *topo.Grid, kind uint8, center int, coord, ext topo.Point, rad, cost int) {
-	lo, hi, ok := g.GrownBounds(coord, ext, rad)
-	if !ok {
-		return
-	}
-	c.state[center] = kind
-	c.cost[center] = cost
-	c.lo[center], c.hi[center] = lo, hi
-}
-
-// cacheInvalidate drops every cached score whose stopping box intersects
-// the bounding box of the changed node ids.
-func (a *MC) cacheInvalidate(ids []int) {
-	c := &a.cache
-	if !c.live || len(ids) == 0 {
-		return
-	}
-	blo := a.g.Coord(ids[0])
-	bhi := blo
-	nd := a.g.ND()
-	for _, id := range ids[1:] {
-		p := a.g.Coord(id)
-		for ax := 0; ax < nd; ax++ {
-			if p[ax] < blo[ax] {
-				blo[ax] = p[ax]
-			}
-			if p[ax] > bhi[ax] {
-				bhi[ax] = p[ax]
-			}
-		}
-	}
-	for center, st := range c.state {
-		if st == cacheInvalid {
-			continue
-		}
-		hit := true
-		for ax := 0; ax < nd; ax++ {
-			// Stored boxes are half-open; the changed box is inclusive.
-			if bhi[ax] < c.lo[center][ax] || blo[ax] >= c.hi[center][ax] {
-				hit = false
-				break
-			}
-		}
-		if hit {
-			c.state[center] = cacheInvalid
-		}
-	}
-}
-
-// take shadows tracker.take so every path that marks nodes busy — the
-// Allocate winner and the direct takes of in-package tests — also
-// invalidates the affected cached scores.
-func (a *MC) take(ids []int) {
-	a.tracker.take(ids)
-	a.cacheInvalidate(ids)
-}
-
-// Release implements Allocator.
-func (a *MC) Release(ids []int) {
-	a.tracker.Release(ids)
-	a.cacheInvalidate(ids)
-}
-
-// MarkDown shadows tracker.MarkDown so fault deltas invalidate cached
-// scores exactly like an allocation of the node would: a downed node
-// changes the shell free counts of every candidate whose stopping box
-// covers it.
-func (a *MC) MarkDown(id int) {
-	a.tracker.MarkDown(id)
-	a.maskBuf[0] = id
-	a.cacheInvalidate(a.maskBuf[:])
-}
-
-// MarkUp shadows tracker.MarkUp with the same cache invalidation on
-// the repair delta.
-func (a *MC) MarkUp(id int) {
-	a.tracker.MarkUp(id)
-	a.maskBuf[0] = id
-	a.cacheInvalidate(a.maskBuf[:])
-}
-
-// Reset implements Allocator.
-func (a *MC) Reset() {
-	a.tracker.Reset()
-	a.cache.live = false
-}
-
-// SetScoreCache toggles incremental score reuse between consecutive
-// Allocate calls (on by default for the indexed scorer; the naive
-// reference scorer never caches). Both settings produce bit-identical
-// allocations — the cache only skips recomputing scores proven unchanged.
-func (a *MC) SetScoreCache(on bool) {
-	a.noCache = !on
-	if !on {
-		a.cache.live = false
-	}
 }
 
 // NewMC returns the shape-aware MC allocator.
@@ -655,55 +494,12 @@ func (a *MC) Allocate(req Request) ([]int, error) {
 	if a.boxes == nil {
 		return a.allocateNaive(ext, req.Size)
 	}
-	var cache *mcCache
-	if !a.noCache {
-		a.cache.ensure(a.g.Size(), ext, req.Size)
-		cache = &a.cache
-	}
-	bestCost, bestCenter := -1, -1
-	if a.workers > 1 {
-		bestCost, bestCenter = a.scanParallel(ext, req.Size, cache)
-	} else {
-		for center := 0; center < a.g.Size(); center++ {
-			if a.busy[center] {
-				continue
-			}
-			var cost int
-			if cache != nil && cache.state[center] == cacheExact {
-				// An exact entry is the cost the uncached loop would
-				// recompute; candidates it would have pruned simply lose
-				// the strict-< comparison below.
-				cost = cache.cost[center]
-			} else {
-				if cache != nil && cache.state[center] == cacheBound &&
-					bestCost >= 0 && cache.cost[center] >= bestCost {
-					// The cached lower bound already proves this candidate
-					// cannot strictly beat the incumbent.
-					continue
-				}
-				coord := a.g.Coord(center)
-				c, rad, ok := a.countCost(coord, ext, req.Size, bestCost)
-				if !ok {
-					if cache != nil && rad >= 0 {
-						cache.store(a.g, cacheBound, center, coord, ext, rad, c)
-					}
-					continue
-				}
-				cost = c
-				if cache != nil {
-					cache.store(a.g, cacheExact, center, coord, ext, rad, cost)
-				}
-			}
-			if bestCost == -1 || cost < bestCost {
-				bestCost, bestCenter = cost, center
-			}
-		}
-	}
-	if bestCost == -1 {
+	win := a.scan(ext, req.Size)
+	if win.cost == -1 {
 		return nil, ErrInsufficient
 	}
-	cost, ok := a.gather(a.g.Coord(bestCenter), ext, req.Size)
-	if !ok || cost != bestCost {
+	cost, ok := a.gather(a.g.Coord(win.center), ext, req.Size)
+	if !ok || cost != win.cost {
 		panic("alloc: occupancy index diverged from the shell walk")
 	}
 	best := append([]int(nil), a.gatherBuf...)
@@ -736,6 +532,23 @@ func (a *MC) allocateNaive(ext topo.Point, size int) ([]int, error) {
 	return best, nil
 }
 
+// scanRange scores the free centers in [lo, hi) in row-major order and
+// returns the first strictly cheapest one, or cost/center -1 when the
+// range holds no candidate. The running best is the prune incumbent.
+func (a *MC) scanRange(ext topo.Point, size, lo, hi int) chunkBest {
+	best := chunkBest{cost: -1, center: -1}
+	for center := lo; center < hi; center++ {
+		if a.busy[center] {
+			continue
+		}
+		cost, ok := a.countCost(a.g.Coord(center), ext, size, best.cost)
+		if ok && (best.cost == -1 || cost < best.cost) {
+			best = chunkBest{cost: cost, center: center}
+		}
+	}
+	return best
+}
+
 // countCost computes the exact shell-weight cost of a candidate from
 // box counts alone: cost = sum over k of k * (freeBox(k) - freeBox(k-1))
 // with the outermost shell truncated to exactly size, where freeBox(k)
@@ -744,33 +557,24 @@ func (a *MC) allocateNaive(ext topo.Point, size int) ([]int, error) {
 // lower bound on the final cost — every processor still missing sits at
 // shell k+1 or beyond — so the loop aborts (ok == false) as soon as the
 // bound proves the candidate cannot be strictly better than the
-// incumbent cost. Pass incumbent < 0 to disable pruning. On success rad
-// is the stopping shell index, which bounds the box the cost depends on
-// (the score-cache invalidation region); on a prune, cost carries the
-// aborting lower bound and rad the shell it was computed at, so the
-// bound is cacheable with the same invalidation region. A rad of -1
-// marks the unreachable shells-exhausted return, which caches nothing.
-func (a *MC) countCost(c, ext topo.Point, size, incumbent int) (cost, rad int, ok bool) {
+// incumbent cost. Pass incumbent < 0 to disable pruning.
+func (a *MC) countCost(c, ext topo.Point, size, incumbent int) (cost int, ok bool) {
+	baseLo, baseHi := a.g.ShellBase(c, ext)
 	prev := 0
 	for k, maxK := 0, a.g.MaxShells(); k <= maxK; k++ {
-		lo, hi, onGrid := a.g.GrownBounds(c, ext, k)
-		if !onGrid {
-			// Unreachable: a grown box always contains its on-grid center.
-			continue
-		}
-		cur := a.boxes.FreeIn(lo, hi)
+		cur := a.boxes.FreeIn(a.g.ShellBounds(baseLo, baseHi, k))
 		if cur >= size {
-			return cost + k*(size-prev), k, true
+			return cost + k*(size-prev), true
 		}
 		cost += k * (cur - prev)
 		prev = cur
-		if bound := cost + (k+1)*(size-cur); incumbent >= 0 && bound >= incumbent {
-			return bound, k, false
+		if incumbent >= 0 && cost+(k+1)*(size-cur) >= incumbent {
+			return 0, false
 		}
 	}
 	// Unreachable when numFree >= size: the box grown maxK times covers
 	// the whole machine, mirroring the reference gather's termination.
-	return 0, -1, false
+	return 0, false
 }
 
 // gather collects size free processors into a.gatherBuf in shells around

@@ -3,12 +3,9 @@ package alloc
 // Batch allocation for simultaneous arrivals. A discrete-event simulator
 // regularly sees several jobs arrive at the same timestamp (bursty
 // sources, trace replays with second-resolution arrival stamps); serving
-// them in one call lets the allocator amortize shared state — the MC
-// score cache in particular carries every candidate score that survives
-// one allocation's invalidation straight into the next request of the
-// batch, so a burst of equal-sized jobs pays the full candidate scan only
-// once. Composes with the sharded candidate scan: each allocation in the
-// batch still fans out over SetParallelism workers.
+// them in one call lets the caller plan the whole burst from one
+// free-count read. Composes with the sharded candidate scan: each
+// allocation in the batch still fans out over SetParallelism workers.
 
 // BatchAllocator is implemented by allocators that serve several requests
 // in one call. AllocateBatch(reqs) is defined to be exactly equivalent to
@@ -63,9 +60,7 @@ func (p *Paging) AllocateBatch(reqs []Request) ([][]int, error) {
 	return allocateSeq(p, reqs)
 }
 
-// AllocateBatch implements BatchAllocator. Consecutive same-shape
-// requests in the batch reuse the incremental score cache, so only
-// candidates near the previous winner are rescored.
+// AllocateBatch implements BatchAllocator.
 func (a *MC) AllocateBatch(reqs []Request) ([][]int, error) {
 	return allocateSeq(a, reqs)
 }

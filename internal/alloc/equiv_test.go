@@ -9,7 +9,8 @@ import (
 // Equivalence tests pinning the indexed (count-don't-gather) MC and
 // Gen-Alg scorers to the retained naive reference scorers: same
 // winner, same cost, same ids, on random busy patterns over random 2-D
-// and 3-D grids. The indexed paths must be bit-identical — candidate
+// and 3-D grids, plus small 4-D grids for the MC family (the
+// dimensionality whose box index is the Fenwick tree). The indexed paths must be bit-identical — candidate
 // iteration order, first-strictly-better tie-breaking and gather order
 // included — so the comparison is exact id-slice equality, not
 // score equality alone.
@@ -39,6 +40,13 @@ func equivGrid(sel uint64) *topo.Grid {
 		return topo.New([]int{2 + x.intn(10), 2 + x.intn(10)})
 	}
 	return topo.New([]int{2 + x.intn(5), 2 + x.intn(5), 2 + x.intn(5)})
+}
+
+// equivGrid4 derives a small random 4-D grid (extents 2–4) from sel. At
+// these sizes nearly every shell of every center clips at a machine edge.
+func equivGrid4(sel uint64) *topo.Grid {
+	x := xorshift(sel | 1)
+	return topo.New([]int{2 + x.intn(3), 2 + x.intn(3), 2 + x.intn(3), 2 + x.intn(3)})
 }
 
 // equivPair builds an indexed/naive allocator pair over g with an
@@ -129,17 +137,22 @@ func runEquivalence(t *testing.T, g *topo.Grid, pattern uint64, density int,
 	}
 }
 
+// equivVariants lists the indexed allocators under test; fourD marks the
+// ones whose indexed path also runs on 4-D grids (Gen-Alg's ball index
+// stops at 3-D, so its 4-D form is the reference scorer itself).
 var equivVariants = []struct {
-	name string
-	mk   func(*topo.Grid) Allocator
+	name  string
+	mk    func(*topo.Grid) Allocator
+	fourD bool
 }{
-	{"mc", func(g *topo.Grid) Allocator { return NewMC(g) }},
-	{"mc1x1", func(g *topo.Grid) Allocator { return NewMC1x1(g) }},
-	{"genalg", func(g *topo.Grid) Allocator { return NewGenAlg(g) }},
+	{"mc", func(g *topo.Grid) Allocator { return NewMC(g) }, true},
+	{"mc1x1", func(g *topo.Grid) Allocator { return NewMC1x1(g) }, true},
+	{"genalg", func(g *topo.Grid) Allocator { return NewGenAlg(g) }, false},
 }
 
 // TestIndexedMatchesNaiveRandom sweeps deterministic random grids,
-// densities and workloads for every indexed allocator.
+// densities and workloads for every indexed allocator, and 4-D grids
+// for the variants marked fourD.
 func TestIndexedMatchesNaiveRandom(t *testing.T) {
 	for _, v := range equivVariants {
 		t.Run(v.name, func(t *testing.T) {
@@ -149,16 +162,32 @@ func TestIndexedMatchesNaiveRandom(t *testing.T) {
 				density := x.intn(240)
 				runEquivalence(t, g, x.next(), density, v.name, v.mk)
 			}
+			if !v.fourD {
+				return
+			}
+			x = xorshift(44)
+			for trial := 0; trial < 60; trial++ {
+				g := equivGrid4(x.next())
+				density := x.intn(240)
+				runEquivalence(t, g, x.next(), density, v.name, v.mk)
+			}
 		})
 	}
 }
 
 // TestCountCostMatchesGather compares MC's counted candidate cost with
-// the walked gather cost directly, center by center, pruning disabled.
+// the walked gather cost directly, center by center, pruning disabled:
+// random probes on 2-D/3-D grids, and every center — corners and edges
+// included — on 4-D grids.
 func TestCountCostMatchesGather(t *testing.T) {
 	x := xorshift(7)
-	for trial := 0; trial < 80; trial++ {
-		g := equivGrid(x.next())
+	for trial := 0; trial < 120; trial++ {
+		var g *topo.Grid
+		if trial < 80 {
+			g = equivGrid(x.next())
+		} else {
+			g = equivGrid4(x.next())
+		}
 		a, _, _ := equivPair(g, x.next(), x.intn(230), func(g *topo.Grid) Allocator { return NewMC(g) })
 		mc := a.(*MC)
 		size := 1 + x.intn(min(mc.NumFree()+1, 20))
@@ -166,17 +195,25 @@ func TestCountCostMatchesGather(t *testing.T) {
 			continue
 		}
 		ext := Request{Size: size}.ShapeExt(g.ND())
-		for probe := 0; probe < 10; probe++ {
-			center := x.intn(g.Size())
+		probe := func(center int) {
 			if mc.busy[center] {
-				continue
+				return
 			}
-			counted, _, okC := mc.countCost(g.Coord(center), ext, size, -1)
+			counted, okC := mc.countCost(g.Coord(center), ext, size, -1)
 			walked, okW := mc.gather(g.Coord(center), ext, size)
 			if okC != okW || counted != walked {
 				t.Fatalf("dims %v center %d size %d: counted (%d, %v) != walked (%d, %v)",
 					g.Dims(), center, size, counted, okC, walked, okW)
 			}
+		}
+		if g.ND() == 4 {
+			for center := 0; center < g.Size(); center++ {
+				probe(center)
+			}
+			continue
+		}
+		for i := 0; i < 10; i++ {
+			probe(x.intn(g.Size()))
 		}
 	}
 }
@@ -221,9 +258,12 @@ func FuzzIndexedScoringEquivalence(f *testing.F) {
 	f.Add(uint64(0x1234), uint64(0x5678), uint8(10))
 	f.Add(uint64(42), uint64(42), uint8(128))
 	f.Fuzz(func(t *testing.T, dimSel, pattern uint64, density uint8) {
-		g := equivGrid(dimSel)
+		g, g4 := equivGrid(dimSel), equivGrid4(dimSel)
 		for _, v := range equivVariants {
 			runEquivalence(t, g, pattern, int(density), v.name, v.mk)
+			if v.fourD {
+				runEquivalence(t, g4, pattern, int(density), v.name, v.mk)
+			}
 		}
 	})
 }

@@ -135,20 +135,18 @@ func TestSubmeshMaskMatchesBusy(t *testing.T) {
 	}
 }
 
-// TestMCMaskCacheConsistent interleaves mask churn with the same-size
-// allocate/release steady state that keeps incremental score-cache
-// entries alive: the cached scorer must stay bit-identical to the
-// cache-off scorer through every MarkDown/MarkUp invalidation.
-func TestMCMaskCacheConsistent(t *testing.T) {
+// TestMCMaskChurnMatchesNaive interleaves MarkDown/MarkUp mask churn
+// with allocate/release: the indexed MC/MC1x1 scorer must stay
+// bit-identical to the naive reference through every fault delta.
+func TestMCMaskChurnMatchesNaive(t *testing.T) {
 	for _, oneByOne := range []bool{false, true} {
 		x := xorshift(171)
 		for trial := 0; trial < 15; trial++ {
 			g := equivGrid(x.next())
-			cached := NewMC(g)
-			cached.oneByOne = oneByOne
-			plain := NewMC(g)
-			plain.oneByOne = oneByOne
-			plain.SetScoreCache(false)
+			indexed := NewMC(g)
+			indexed.oneByOne = oneByOne
+			naive := NewMCNaive(g)
+			naive.oneByOne = oneByOne
 			size := 1 + x.intn(6)
 			var live [][]int
 			downSet := map[int]bool{}
@@ -157,20 +155,20 @@ func TestMCMaskCacheConsistent(t *testing.T) {
 				case 0: // toggle a node's availability
 					id := x.intn(g.Size())
 					if downSet[id] {
-						cached.MarkUp(id)
-						plain.MarkUp(id)
+						indexed.MarkUp(id)
+						naive.MarkUp(id)
 						delete(downSet, id)
-					} else if !cached.busy[id] {
-						cached.MarkDown(id)
-						plain.MarkDown(id)
+					} else if !indexed.busy[id] {
+						indexed.MarkDown(id)
+						naive.MarkDown(id)
 						downSet[id] = true
 					}
 				case 1, 2, 3:
-					if cached.NumFree() < size {
+					if indexed.NumFree() < size {
 						continue
 					}
-					got, err1 := cached.Allocate(Request{Size: size})
-					want, err2 := plain.Allocate(Request{Size: size})
+					got, err1 := indexed.Allocate(Request{Size: size})
+					want, err2 := naive.Allocate(Request{Size: size})
 					if (err1 == nil) != (err2 == nil) {
 						t.Fatalf("trial %d step %d: error mismatch %v vs %v", trial, step, err1, err2)
 					}
@@ -185,14 +183,14 @@ func TestMCMaskCacheConsistent(t *testing.T) {
 				default:
 					if len(live) > 0 {
 						i := x.intn(len(live))
-						cached.Release(live[i])
-						plain.Release(live[i])
+						indexed.Release(live[i])
+						naive.Release(live[i])
 						live = append(live[:i], live[i+1:]...)
 					}
 				}
-				if cached.NumFree() != plain.NumFree() {
+				if indexed.NumFree() != naive.NumFree() {
 					t.Fatalf("trial %d step %d: NumFree %d vs %d",
-						trial, step, cached.NumFree(), plain.NumFree())
+						trial, step, indexed.NumFree(), naive.NumFree())
 				}
 			}
 		}

@@ -1,20 +1,12 @@
 package alloc
 
-import (
-	"testing"
+import "testing"
 
-	"meshalloc/internal/topo"
-)
-
-// Tests pinning the incremental MC score cache: repeated same-size
-// workloads (the case where entries actually survive between Allocate
-// calls) must produce bit-identical allocations with the cache on, off,
-// against the naive reference scorer, and at any worker count — and
-// every entry the cache holds must equal a fresh exact recomputation.
+// Tests pinning the indexed MC scorer, which reads the incremental
+// occupancy index, to the naive reference under allocate/release churn.
 
 // churnSteady drives pairs of allocators through a same-size
-// allocate/release workload, the steady state the cache accelerates,
-// failing on any divergence.
+// allocate/release workload, failing on any divergence.
 func churnSteady(t *testing.T, name string, a, b Allocator, seed uint64, size, steps int) {
 	t.Helper()
 	x := xorshift(seed | 1)
@@ -45,9 +37,8 @@ func churnSteady(t *testing.T, name string, a, b Allocator, seed uint64, size, s
 	}
 }
 
-// TestIncrementalMCMatchesNaiveSteady holds the request size fixed so
-// cached scores are reused across consecutive jobs, and requires the
-// cached scorer to track the naive reference exactly.
+// TestIncrementalMCMatchesNaiveSteady holds the request size fixed and
+// requires the indexed scorer to track the naive reference exactly.
 func TestIncrementalMCMatchesNaiveSteady(t *testing.T) {
 	for _, oneByOne := range []bool{false, true} {
 		name := "mc"
@@ -57,145 +48,28 @@ func TestIncrementalMCMatchesNaiveSteady(t *testing.T) {
 		x := xorshift(31)
 		for trial := 0; trial < 25; trial++ {
 			g := equivGrid(x.next())
-			cached := NewMC(g)
-			cached.oneByOne = oneByOne
+			indexed := NewMC(g)
+			indexed.oneByOne = oneByOne
 			naive := NewMCNaive(g)
 			naive.oneByOne = oneByOne
 			size := 1 + x.intn(9)
-			churnSteady(t, name, cached, naive, x.next(), size, 30)
+			churnSteady(t, name, indexed, naive, x.next(), size, 30)
 		}
 	}
 }
 
-// TestScoreCacheOnOffIdentical compares the indexed scorer with the
-// cache against itself with SetScoreCache(false), at several worker
-// counts: allocations must match bit for bit.
-func TestScoreCacheOnOffIdentical(t *testing.T) {
-	for _, workers := range []int{1, 2, 5} {
-		x := xorshift(uint64(workers)*977 + 5)
-		for trial := 0; trial < 20; trial++ {
-			g := equivGrid(x.next())
-			on := NewMC(g)
-			on.SetParallelism(workers)
-			off := NewMC(g)
-			off.SetScoreCache(false)
-			size := 1 + x.intn(9)
-			churnSteady(t, "mc/cache-on-off", on, off, x.next(), size, 25)
-		}
-	}
-}
-
-// TestScoreCacheInvariant checks the cache's central invariant after a
-// random churn: every exact entry equals a fresh unpruned countCost of
-// that center under the current machine state, and every bound entry is
-// at most it.
-func TestScoreCacheInvariant(t *testing.T) {
-	x := xorshift(61)
-	for trial := 0; trial < 40; trial++ {
-		g := equivGrid(x.next())
-		a := NewMC(g)
-		if x.intn(2) == 0 {
-			a.oneByOne = true
-		}
-		size := 1 + x.intn(9)
-		var live [][]int
-		allocated := false
-		for step := 0; step < 20; step++ {
-			if a.NumFree() >= size && (len(live) == 0 || x.intn(3) != 0) {
-				ids, err := a.Allocate(Request{Size: size})
-				if err != nil {
-					continue
-				}
-				allocated = true
-				live = append(live, ids)
-			} else if len(live) > 0 {
-				i := x.intn(len(live))
-				a.Release(live[i])
-				live = append(live[:i], live[i+1:]...)
-			}
-			if !allocated {
-				continue
-			}
-			if !a.cache.live {
-				t.Fatalf("trial %d step %d: cache not live after Allocate", trial, step)
-			}
-			for center, st := range a.cache.state {
-				if st == cacheInvalid {
-					continue
-				}
-				cost, _, ok := a.countCost(g.Coord(center), a.cache.ext, a.cache.size, -1)
-				switch st {
-				case cacheExact:
-					if !ok || cost != a.cache.cost[center] {
-						t.Fatalf("trial %d step %d center %d: cached cost %d, fresh (%d, %v)",
-							trial, step, center, a.cache.cost[center], cost, ok)
-					}
-				case cacheBound:
-					// A stored bound must never exceed the exact cost; when
-					// the shells exhaust (ok false, fewer free processors
-					// than the request) the exact cost is unbounded and any
-					// bound is trivially valid.
-					if ok && cost < a.cache.cost[center] {
-						t.Fatalf("trial %d step %d center %d: cached bound %d exceeds exact cost %d",
-							trial, step, center, a.cache.cost[center], cost)
-					}
-				}
-			}
-		}
-	}
-}
-
-// TestScoreCacheResetDropsEntries pins the lifecycle rules: Reset and
-// shape changes drop the cache, and direct takes invalidate through the
-// shadowing take method.
-func TestScoreCacheResetDropsEntries(t *testing.T) {
-	g := topo.New([]int{8, 8})
-	a := NewMC(g)
-	if _, err := a.Allocate(Request{Size: 4}); err != nil {
-		t.Fatal(err)
-	}
-	if !a.cache.live {
-		t.Fatal("cache should be live after Allocate")
-	}
-	a.Reset()
-	if a.cache.live {
-		t.Fatal("Reset must drop the cache")
-	}
-	if _, err := a.Allocate(Request{Size: 4}); err != nil {
-		t.Fatal(err)
-	}
-	if a.cache.size != 4 {
-		t.Fatalf("cache keyed to size %d, want 4", a.cache.size)
-	}
-	if _, err := a.Allocate(Request{Size: 6}); err != nil {
-		t.Fatal(err)
-	}
-	if a.cache.size != 6 {
-		t.Fatalf("cache keyed to size %d after shape change, want 6", a.cache.size)
-	}
-	// The winner's own region must have been invalidated by the take.
-	for center, st := range a.cache.state {
-		if st != cacheInvalid && a.busy[center] {
-			// Live entries for busy centers are allowed (they are skipped
-			// by the scan), but their stored boxes must still satisfy the
-			// exactness invariant, which TestScoreCacheInvariant covers.
-			_ = center
-		}
-	}
-}
-
-// FuzzIncrementalMC fuzzes cache-on versus cache-off over arbitrary
-// machine shapes, densities, and request sizes.
+// FuzzIncrementalMC fuzzes the indexed MC/MC1x1 scorer against the
+// naive reference over arbitrary machine shapes, random preload
+// densities and request sizes.
 func FuzzIncrementalMC(f *testing.F) {
 	f.Add(uint64(1), uint8(3), uint8(120), false)
 	f.Add(uint64(77), uint8(6), uint8(40), true)
 	f.Fuzz(func(t *testing.T, seed uint64, size, density uint8, oneByOne bool) {
 		g := equivGrid(seed)
-		on := NewMC(g)
-		on.oneByOne = oneByOne
-		off := NewMC(g)
-		off.oneByOne = oneByOne
-		off.SetScoreCache(false)
+		indexed := NewMC(g)
+		indexed.oneByOne = oneByOne
+		naive := NewMCNaive(g)
+		naive.oneByOne = oneByOne
 		x := xorshift(seed ^ 0xabcdef | 1)
 		var busy []int
 		for id := 0; id < g.Size(); id++ {
@@ -204,10 +78,82 @@ func FuzzIncrementalMC(f *testing.F) {
 			}
 		}
 		if len(busy) > 0 {
-			on.take(busy)
-			off.take(busy)
+			indexed.take(busy)
+			naive.take(busy)
 		}
 		sz := int(size)%12 + 1
-		churnSteady(t, "fuzz", on, off, seed, sz, 15)
+		churnSteady(t, "fuzz", indexed, naive, seed, sz, 15)
 	})
+}
+
+// TestMCOccupyMatchesNaive restores a random busy pattern through the
+// Occupier interface — the path checkpoint restore takes — and requires
+// the indexed scorer's occupancy index to agree with the busy bitmap and
+// to keep tracking the naive reference under churn afterwards. MC has
+// no Occupy of its own: tracker.Occupy must keep the box index in step.
+func TestMCOccupyMatchesNaive(t *testing.T) {
+	for _, oneByOne := range []bool{false, true} {
+		x := xorshift(57)
+		for trial := 0; trial < 20; trial++ {
+			g := equivGrid(x.next())
+			if trial%4 == 3 {
+				g = equivGrid4(x.next())
+			}
+			indexed := NewMC(g)
+			indexed.oneByOne = oneByOne
+			naive := NewMCNaive(g)
+			naive.oneByOne = oneByOne
+			var occ Occupier = indexed
+			var ids []int
+			for id := 0; id < g.Size(); id++ {
+				if x.intn(5) < 2 {
+					ids = append(ids, id)
+				}
+			}
+			occ.Occupy(ids)
+			naive.Occupy(ids)
+			if err := indexed.AuditIndexes(); err != nil {
+				t.Fatalf("%s trial %d after Occupy: %v", indexed.Name(), trial, err)
+			}
+			churnSteady(t, indexed.Name(), indexed, naive, x.next(), 1+x.intn(6), 30)
+		}
+	}
+}
+
+// TestMCResetMatchesFresh churns an indexed MC through allocations and
+// downed nodes, resets it, and requires it to behave exactly like a
+// freshly built allocator: Reset must clear the box index with the
+// busy bitmap and the fault marks.
+func TestMCResetMatchesFresh(t *testing.T) {
+	for _, oneByOne := range []bool{false, true} {
+		x := xorshift(91)
+		for trial := 0; trial < 20; trial++ {
+			g := equivGrid(x.next())
+			if trial%4 == 3 {
+				g = equivGrid4(x.next())
+			}
+			used := NewMC(g)
+			used.oneByOne = oneByOne
+			for i := 0; i < 4; i++ {
+				if _, err := used.Allocate(Request{Size: 1 + x.intn(4)}); err != nil {
+					break
+				}
+			}
+			for id := 0; id < g.Size(); id++ {
+				if !used.busy[id] && x.intn(4) == 0 {
+					used.MarkDown(id)
+				}
+			}
+			used.Reset()
+			if used.NumFree() != g.Size() {
+				t.Fatalf("%s trial %d: NumFree %d after Reset, want %d", used.Name(), trial, used.NumFree(), g.Size())
+			}
+			if err := used.AuditIndexes(); err != nil {
+				t.Fatalf("%s trial %d after Reset: %v", used.Name(), trial, err)
+			}
+			fresh := NewMC(g)
+			fresh.oneByOne = oneByOne
+			churnSteady(t, used.Name(), used, fresh, x.next(), 1+x.intn(6), 30)
+		}
+	}
 }

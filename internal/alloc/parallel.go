@@ -79,64 +79,30 @@ func reduceChunks(res []chunkBest) (bestCost, bestCenter int) {
 	return bestCost, bestCenter
 }
 
-// scanParallel shards MC's indexed candidate scan over a.workers
-// goroutines. Pruning via the local incumbent only changes how much
-// work a chunk does, never which candidate it elects, because countCost
-// reports the exact cost of every candidate that beats the incumbent.
-// The score cache composes: chunks cover disjoint center ranges and the
-// cache is indexed by center, so workers read and write disjoint entries
-// race-free. Which entries hold exact costs versus pruned lower bounds
-// can vary with the worker count (different incumbents prune
-// differently), but every cached value is occupancy-faithful, so
-// elections stay bit-identical at any parallelism.
-func (a *MC) scanParallel(ext topo.Point, size int, cache *mcCache) (bestCost, bestCenter int) {
+// scan elects MC's winning center: scanRange over the whole machine, or
+// — with a.workers > 1 — over one contiguous chunk per goroutine, reduced
+// in chunk order. Pruning via a chunk's local incumbent only changes how
+// much work the chunk does, never which candidate it elects, because
+// countCost reports the exact cost of every candidate that beats the
+// incumbent.
+func (a *MC) scan(ext topo.Point, size int) chunkBest {
 	n := a.g.Size()
-	workers := a.workers
-	if workers > n {
-		workers = n
+	workers := min(a.workers, n)
+	if workers <= 1 {
+		return a.scanRange(ext, size, 0, n)
 	}
 	res := make([]chunkBest, workers)
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
-		lo, hi := w*n/workers, (w+1)*n/workers
 		wg.Add(1)
-		go func(w, lo, hi int) {
+		go func(w int) {
 			defer wg.Done()
-			best := chunkBest{cost: -1, center: -1}
-			for center := lo; center < hi; center++ {
-				if a.busy[center] {
-					continue
-				}
-				var cost int
-				if cache != nil && cache.state[center] == cacheExact {
-					cost = cache.cost[center]
-				} else {
-					if cache != nil && cache.state[center] == cacheBound &&
-						best.cost >= 0 && cache.cost[center] >= best.cost {
-						continue
-					}
-					coord := a.g.Coord(center)
-					c, rad, ok := a.countCost(coord, ext, size, best.cost)
-					if !ok {
-						if cache != nil && rad >= 0 {
-							cache.store(a.g, cacheBound, center, coord, ext, rad, c)
-						}
-						continue
-					}
-					cost = c
-					if cache != nil {
-						cache.store(a.g, cacheExact, center, coord, ext, rad, cost)
-					}
-				}
-				if best.cost == -1 || cost < best.cost {
-					best = chunkBest{cost: cost, center: center}
-				}
-			}
-			res[w] = best
-		}(w, lo, hi)
+			res[w] = a.scanRange(ext, size, w*n/workers, (w+1)*n/workers)
+		}(w)
 	}
 	wg.Wait()
-	return reduceChunks(res)
+	cost, center := reduceChunks(res)
+	return chunkBest{cost: cost, center: center}
 }
 
 // scanParallel shards Gen-Alg's indexed candidate scan over a.workers

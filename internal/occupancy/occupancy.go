@@ -114,7 +114,7 @@ func (b *Boxes) add(p topo.Point, d int) {
 }
 
 // BusyIn returns the number of busy processors in the half-open box
-// [lo, hi), which must already be clipped to the grid (topo.GrownBounds
+// [lo, hi), which must already be clipped to the grid (topo.ShellBounds
 // produces exactly this form).
 func (b *Boxes) BusyIn(lo, hi topo.Point) int {
 	s := 0

@@ -136,6 +136,7 @@ func TestBoxesShellCountsMatchShellWalk(t *testing.T) {
 				c[i] = rng.Intn(g.Dim(i))
 				ext[i] = 1 + rng.Intn(4)
 			}
+			baseLo, baseHi := g.ShellBase(c, ext)
 			prev := 0
 			for k := 0; k <= g.MaxShells(); k++ {
 				walked := 0
@@ -145,11 +146,7 @@ func TestBoxesShellCountsMatchShellWalk(t *testing.T) {
 					}
 					return true
 				})
-				lo, hi, ok := g.GrownBounds(c, ext, k)
-				if !ok {
-					t.Fatalf("dims %v: GrownBounds empty for on-grid center", dims)
-				}
-				cur := boxes.FreeIn(lo, hi)
+				cur := boxes.FreeIn(g.ShellBounds(baseLo, baseHi, k))
 				if cur-prev != walked {
 					t.Fatalf("dims %v c %v ext %v shell %d: counted %d, walked %d",
 						dims, c, ext, k, cur-prev, walked)
@@ -220,7 +217,8 @@ func TestResetClearsCounts(t *testing.T) {
 	}
 	boxes.Reset()
 	balls.Reset()
-	lo, hi, _ := g.GrownBounds(topo.XYZ(3, 2, 2), topo.XYZ(1, 1, 1), g.MaxShells())
+	lo, hi := g.ShellBase(topo.XYZ(3, 2, 2), topo.XYZ(1, 1, 1))
+	lo, hi = g.ShellBounds(lo, hi, g.MaxShells())
 	if got := boxes.FreeIn(lo, hi); got != g.Size() {
 		t.Errorf("boxes after Reset: FreeIn(all) = %d, want %d", got, g.Size())
 	}

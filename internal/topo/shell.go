@@ -112,20 +112,19 @@ func (g *Grid) boxWalk(outer, inner Box, emit func(lo, hi int) bool) {
 
 // shellWalk is the box-free fast path behind AppendShell and ShellEach:
 // the outer and inner bounds of shell k around the ext box centered on c
-// are plain per-axis arithmetic (origin c - ext/2 shifted by k), so no
-// Box values are built or copied per candidate — MC scores thousands of
-// (center, shell) pairs per allocation and this walk is its inner loop.
+// are plain per-axis arithmetic (the ShellBase bounds shifted by k and
+// k-1), so no Box values are built or copied per candidate. The outer
+// bounds come from ShellBounds, the same clip the occupancy counts use.
 func (g *Grid) shellWalk(c, ext Point, k int, emit func(lo, hi int) bool) {
-	var lo, hi, inLo, inHi Point
+	baseLo, baseHi := g.ShellBase(c, ext)
+	lo, hi := g.ShellBounds(baseLo, baseHi, k)
+	var inLo, inHi Point
 	for i := 0; i < g.nd; i++ {
-		base := c[i] - ext[i]/2
-		lo[i] = max(base-k, 0)
-		hi[i] = min(base+ext[i]+k, g.dim[i])
 		if lo[i] >= hi[i] {
 			return
 		}
-		inLo[i] = base - (k - 1)
-		inHi[i] = base + ext[i] + (k - 1)
+		inLo[i] = baseLo[i] - (k - 1)
+		inHi[i] = baseHi[i] + (k - 1)
 	}
 	g.rangeWalk(lo, hi, inLo, inHi, k == 0, emit)
 }

@@ -411,14 +411,13 @@ func TestComponentsOrdering(t *testing.T) {
 }
 
 // TestGrownBoundsMatchesShellWalkClipping pins the counting-side clip
-// arithmetic (GrownBounds/BoxVolume) to the walking side: the volume of
-// shell k's clipped outer box must equal the nodes AppendShell visits
-// across shells 0..k, for centers and extents all over the grid,
-// including off-edge clipping.
+// arithmetic (ShellBase/ShellBounds/BoxVolume) to the walking side: the
+// volume of shell k's clipped outer box must equal the nodes ShellEach
+// visits across shells 0..k, for centers and extents all over the grid,
+// including off-edge clipping, on 2-D, 3-D and 4-D grids.
 func TestGrownBoundsMatchesShellWalkClipping(t *testing.T) {
-	for _, dims := range [][]int{{7, 5}, {6, 4, 5}} {
+	for _, dims := range [][]int{{7, 5}, {6, 4, 5}, {3, 4, 2, 3}} {
 		g := New(dims)
-		var buf []int
 		for id := 0; id < g.Size(); id += 3 {
 			c := g.Coord(id)
 			var ext Point
@@ -428,17 +427,75 @@ func TestGrownBoundsMatchesShellWalkClipping(t *testing.T) {
 			for i := 0; i < g.ND(); i++ {
 				ext[i] = 1 + (id+i)%3
 			}
+			baseLo, baseHi := g.ShellBase(c, ext)
 			walked := 0
 			for k := 0; k <= g.MaxShells(); k++ {
-				walked += len(g.AppendShell(buf[:0], c, ext, k))
-				lo, hi, ok := g.GrownBounds(c, ext, k)
-				if !ok {
-					t.Fatalf("dims %v c %v k %d: GrownBounds empty for on-grid center", dims, c, k)
-				}
+				g.ShellEach(c, ext, k, func(int) bool { walked++; return true })
+				lo, hi := g.ShellBounds(baseLo, baseHi, k)
 				if got := BoxVolume(lo, hi); got != walked {
 					t.Fatalf("dims %v c %v ext %v k %d: BoxVolume %d, walked cumulative %d",
 						dims, c, ext, k, got, walked)
 				}
+			}
+		}
+	}
+}
+
+// TestShellBaseUnclippedShellBoundsClips pins the split of the shell
+// arithmetic: ShellBase is the unclipped MC origin box (c - ext/2,
+// rounding down) with padding axes [0, 1); ShellBounds grows it by k,
+// clips it to the grid and leaves the caller's base untouched, so one
+// base serves every shell of a candidate; at MaxShells the box covers
+// the whole grid from any center.
+func TestShellBaseUnclippedShellBoundsClips(t *testing.T) {
+	g := New([]int{7, 5})
+	lo, hi := g.ShellBase(Point{0, 4}, Point{3, 4, 1, 1})
+	if want := (Point{-1, 2, 0, 0}); lo != want {
+		t.Fatalf("ShellBase lo = %v, want %v", lo, want)
+	}
+	if want := (Point{2, 6, 1, 1}); hi != want {
+		t.Fatalf("ShellBase hi = %v, want %v", hi, want)
+	}
+	for _, tc := range []struct {
+		k              int
+		wantLo, wantHi Point
+	}{
+		{0, Point{0, 2, 0, 0}, Point{2, 5, 1, 1}},
+		{1, Point{0, 1, 0, 0}, Point{3, 5, 1, 1}},
+		{3, Point{0, 0, 0, 0}, Point{5, 5, 1, 1}},
+		{9, Point{0, 0, 0, 0}, Point{7, 5, 1, 1}},
+	} {
+		gotLo, gotHi := g.ShellBounds(lo, hi, tc.k)
+		if gotLo != tc.wantLo || gotHi != tc.wantHi {
+			t.Errorf("ShellBounds k=%d = [%v, %v), want [%v, %v)", tc.k, gotLo, gotHi, tc.wantLo, tc.wantHi)
+		}
+	}
+	if lo != (Point{-1, 2, 0, 0}) || hi != (Point{2, 6, 1, 1}) {
+		t.Fatalf("ShellBounds changed the base: [%v, %v)", lo, hi)
+	}
+
+	for _, dims := range [][]int{{4, 6}, {3, 2, 4}, {2, 3, 2, 3}} {
+		g := New(dims)
+		for id := 0; id < g.Size(); id++ {
+			var ext Point
+			for i := 0; i < MaxDims; i++ {
+				ext[i] = 1
+			}
+			for i := 0; i < g.ND(); i++ {
+				ext[i] = 1 + (id+2*i)%g.Dim(i)
+			}
+			baseLo, baseHi := g.ShellBase(g.Coord(id), ext)
+			prev := 0
+			for k := 0; k <= g.MaxShells(); k++ {
+				lo, hi := g.ShellBounds(baseLo, baseHi, k)
+				v := BoxVolume(lo, hi)
+				if v < 1 || v < prev {
+					t.Fatalf("dims %v id %d k %d: volume %d (previous shell %d)", dims, id, k, v, prev)
+				}
+				prev = v
+			}
+			if prev != g.Size() {
+				t.Fatalf("dims %v id %d: shell MaxShells covers %d of %d nodes", dims, id, prev, g.Size())
 			}
 		}
 	}

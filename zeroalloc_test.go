@@ -279,11 +279,14 @@ func TestBinpackIntervalScanZeroAlloc(t *testing.T) {
 	}
 }
 
-// TestIncrementalMCSteadyStateAllocs pins the cached MC scorer's steady
-// state — the same-size churn where score reuse actually pays — at one
-// allocation per Allocate/Release cycle: the cache arrays are persistent
-// after warm-up, and store/invalidate must not generate garbage.
+// TestIncrementalMCSteadyStateAllocs pins the indexed MC scorer at one
+// allocation per Allocate/Release cycle — the returned slice: scoring
+// reads the occupancy index through value-typed box bounds and the
+// winner's gather reuses persistent scratch. It checks a fixed size and
+// a size cycling through a mixed list, the shape churn of the closed
+// SDSC replay.
 func TestIncrementalMCSteadyStateAllocs(t *testing.T) {
+	mixed := []int{1, 9, 4, 32, 2, 16, 7, 24, 48, 3, 12}
 	for _, dims := range [][]int{{32, 32}, {16, 16, 16}} {
 		t.Run(fmt.Sprint(dims), func(t *testing.T) {
 			g := topo.New(dims)
@@ -299,23 +302,27 @@ func TestIncrementalMCSteadyStateAllocs(t *testing.T) {
 			for i := 0; i < len(live); i += 4 {
 				a.Release(live[i])
 			}
-			// Warm the cache arrays and scratch at the steady-state size.
-			for i := 0; i < 3; i++ {
-				ids, err := a.Allocate(alloc.Request{Size: 48})
+			cycle := func(size int) {
+				ids, err := a.Allocate(alloc.Request{Size: size})
 				if err != nil {
 					t.Fatal(err)
 				}
 				a.Release(ids)
 			}
-			n := testing.AllocsPerRun(30, func() {
-				ids, err := a.Allocate(alloc.Request{Size: 48})
-				if err != nil {
-					t.Fatal(err)
-				}
-				a.Release(ids)
+			// Warm the gather scratch up to the largest size.
+			for _, size := range mixed {
+				cycle(size)
+			}
+			if n := testing.AllocsPerRun(30, func() { cycle(48) }); n > 1 {
+				t.Fatalf("MC Allocate+Release (size 48) allocates %.1f objects/run, want <= 1", n)
+			}
+			i := 0
+			n := testing.AllocsPerRun(3*len(mixed), func() {
+				cycle(mixed[i%len(mixed)])
+				i++
 			})
 			if n > 1 {
-				t.Fatalf("cached MC Allocate+Release allocates %.1f objects/run, want <= 1", n)
+				t.Fatalf("MC Allocate+Release (mixed sizes) allocates %.1f objects/run, want <= 1", n)
 			}
 		})
 	}
