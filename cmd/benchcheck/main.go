@@ -1,9 +1,9 @@
 // Command benchcheck compares a freshly produced BENCH_*.json artifact
 // against a committed baseline and fails when a watched metric has
-// regressed beyond tolerance. It is the CI tripwire of the event-core
-// overhaul: the committed BENCH_9.json records the events/sec the
-// calendar-queue engine reached, and a PR that silently halves it fails
-// the bench-smoke job instead of surfacing in the next paper figure.
+// regressed beyond tolerance. It is the CI tripwire of the event core:
+// the committed BENCH_9.json records the events/sec the engine reached,
+// and a change that silently halves it fails the bench-smoke job instead
+// of surfacing in the next paper figure.
 //
 // Perf comparisons are host-metadata-gated: BENCH_*.json artifacts are
 // self-describing (go version, GOOS/GOARCH, GOMAXPROCS, NumCPU — see

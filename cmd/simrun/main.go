@@ -64,7 +64,6 @@ func main() {
 		mtbf      = flag.String("mtbf", "", "per-node mean time between failures: MEANSEC, exp:MEANSEC or weibull:MEANSEC,SHAPE (trace seconds; empty = no failures)")
 		mttr      = flag.String("mttr", "", "per-node mean time to repair, same forms as -mtbf (empty with -mtbf = permanent failures)")
 		retrySpec = flag.String("retry", "", "retry policy for killed jobs: none, immediate[:MAXATTEMPTS] or backoff:BASESEC,CAPSEC[,MAXATTEMPTS] (empty = immediate, unlimited)")
-		equeue    = flag.String("equeue", "", "event queue implementation: calendar or heap (empty = calendar)")
 		rebuild   = flag.Bool("rebuild-sched", false, "rebuild scheduler state from scratch every round (reference path; slower, bit-identical)")
 		ckptPath  = flag.String("checkpoint", "", "write a resumable checkpoint to this file every -checkpoint-every events (atomic replace)")
 		ckptEvery = flag.Int64("checkpoint-every", 0, "events between checkpoints (requires -checkpoint)")
@@ -94,11 +93,6 @@ func main() {
 	if _, err := sched.ByName(*scheduler); err != nil {
 		fatal(fmt.Errorf("%v (valid -sched values: fcfs, easy, sjf)", err))
 	}
-	switch *equeue {
-	case "", "calendar", "heap":
-	default:
-		fatal(fmt.Errorf("unknown -equeue value %q (valid -equeue values: calendar, heap)", *equeue))
-	}
 
 	// Durability flags fail fast before any workload is built: a typo'd
 	// checkpoint cadence must not surface hours into a sweep.
@@ -125,7 +119,6 @@ func main() {
 		Seed:         *seed,
 		Scheduler:    *scheduler,
 		AllocWorkers: *allocWk,
-		EventQueue:   *equeue,
 		RebuildSched: *rebuild,
 		AuditEvery:   *auditEv,
 	}
@@ -273,16 +266,13 @@ func main() {
 			res.GoodputPct, res.WastedPct, res.DownPct)
 	}
 
-	// Profiling runs also print the event-core counters: a profile whose
-	// calendar queue silently fell back to the heap is measuring the
-	// wrong code, and the counters make that visible next to the profile.
+	// Profiling runs also print the event-core counters, so the event
+	// mix and the scheduler's skip rate sit next to the profile.
 	if *cpuProf != "" || *memProf != "" {
 		cs := eng.CoreStats()
 		fmt.Fprintf(os.Stderr, "event core: %d events (%d arrivals, %d steps, %d finishes), %d fault events\n",
 			cs.Events, cs.Arrivals, cs.Steps, cs.Finishes, cs.FaultEvents)
 		fmt.Fprintf(os.Stderr, "scheduler: %d rounds, %d head-blocked skips\n", cs.SchedRounds, cs.SchedSkips)
-		fmt.Fprintf(os.Stderr, "calendar queue: %d resizes, %d direct scans, fell back to heap: %v\n",
-			cs.CalResizes, cs.CalDirectScans, cs.CalFellBack)
 	}
 
 	if *heatmap {

@@ -103,11 +103,32 @@ func (e *Engine) Audit() error {
 		}
 	}
 
-	// Event queue: every queued event is in the clock's future, carries
+	// Event heap: every queued event is in the clock's future, carries
 	// a sequence number below the engine's counter, no two events share
-	// one, and job events reference in-use handles.
+	// one, job events reference in-use handles, and every parent sorts
+	// no later than its children. Arrival events each own one slab slot
+	// the free list does not hold, and the slab holds no other live
+	// slot.
+	if i := e.events.disorder(); i >= 0 {
+		p := (i - 1) / 2
+		errs = append(errs, violatef("event-heap", "event %d (t=%v seq=%d) sorts before its parent %d (t=%v seq=%d)",
+			i, e.events[i].t, e.events[i].seq, p, e.events[p].t, e.events[p].seq))
+	}
+	slotFree := make([]bool, len(e.arrivals))
+	for _, slot := range e.arrFree {
+		switch {
+		case slot < 0 || int(slot) >= len(e.arrivals):
+			errs = append(errs, violatef("arrival-slot", "free-list slot %d outside [0,%d)", slot, len(e.arrivals)))
+		case slotFree[slot]:
+			errs = append(errs, violatef("arrival-slot", "slot %d on the free list twice", slot))
+		default:
+			slotFree[slot] = true
+		}
+	}
+	slotRef := make([]bool, len(e.arrivals))
+	arrivals := 0
 	seqs := make(map[int64]bool)
-	e.events.each(func(ev event) {
+	for _, ev := range e.events {
 		if ev.t < e.now {
 			errs = append(errs, violatef("event-time", "event seq %d at t=%v behind clock %v", ev.seq, ev.t, e.now))
 		}
@@ -118,12 +139,27 @@ func (e *Engine) Audit() error {
 			errs = append(errs, violatef("event-seq", "two events share seq %d", ev.seq))
 		}
 		seqs[ev.seq] = true
-		if ev.kind == kindStep || ev.kind == kindFinish {
+		if ev.kind != kindArrival {
 			if ev.h < 0 || int(ev.h) >= len(s.inUse) || !s.inUse[ev.h] {
 				errs = append(errs, violatef("event-handle", "event seq %d references unused handle %d", ev.seq, ev.h))
 			}
+			continue
 		}
-	})
+		arrivals++
+		switch {
+		case ev.h < 0 || int(ev.h) >= len(e.arrivals):
+			errs = append(errs, violatef("arrival-slot", "arrival seq %d holds slot %d outside [0,%d)", ev.seq, ev.h, len(e.arrivals)))
+		case slotFree[ev.h]:
+			errs = append(errs, violatef("arrival-slot", "arrival seq %d holds free slot %d", ev.seq, ev.h))
+		case slotRef[ev.h]:
+			errs = append(errs, violatef("arrival-slot", "two arrivals share slot %d", ev.h))
+		default:
+			slotRef[ev.h] = true
+		}
+	}
+	if live := len(e.arrivals) - len(e.arrFree); live != arrivals {
+		errs = append(errs, violatef("arrival-slot", "%d live slots for %d arrival events", live, arrivals))
+	}
 
 	// Scheduler mirrors: on the incremental path pendBuf shadows the
 	// queue entry for entry and runOrd holds exactly the live set in
@@ -220,12 +256,6 @@ func (e *Engine) Audit() error {
 	// finished job, or a kill victim (whose successor instance, if the
 	// policy granted one, is counted under retried). A job RunSource
 	// holds past the horizon is not yet submitted.
-	arrivals := 0
-	e.events.each(func(ev event) {
-		if ev.kind == kindArrival {
-			arrivals++
-		}
-	})
 	if in, out := e.submitted+e.retried, arrivals+e.Pending()+live+e.finished+e.killed; in != out {
 		errs = append(errs, violatef("job-conservation",
 			"%d submitted + %d retried != %d arrival events + %d queued + %d running + %d finished + %d killed",

@@ -32,16 +32,16 @@ type Observer func(JobRecord)
 // or mutated past the call.
 type DeltaObserver func(now float64, ids []int, allocated bool)
 
-// event is one entry of the event queue. It is deliberately
-// pointer-free: running jobs are referenced by jobStore handle, so the
-// queue — however deep a run makes it — contributes nothing to GC scan
-// work.
+// event is one entry of the event heap: 24 bytes, pointer-free. Running
+// jobs are referenced by jobStore handle and queued arrivals by their
+// slot in the engine's arrival slab, so the heap — however deep a run
+// makes it — contributes nothing to GC scan work and a sift moves three
+// words per level.
 type event struct {
 	t    float64
-	seq  int64     // FIFO tie-break for determinism
-	kind int       // kindArrival, kindStep or kindFinish
-	h    int32     // jobStore handle (kindStep/kindFinish)
-	arr  trace.Job // arrival: the (already scaled) job
+	seq  int64 // FIFO tie-break for determinism
+	kind int32 // kindArrival, kindStep or kindFinish
+	h    int32 // jobStore handle (step, finish) or arrival slot (arrival)
 }
 
 const (
@@ -56,64 +56,81 @@ func sortedCopy(ids []int) []int {
 	return out
 }
 
+// before is the event order: time, then the FIFO sequence number. Keys
+// are unique, so every valid heap pops the same sequence.
+func (a event) before(b event) bool {
+	return a.t < b.t || (a.t == b.t && a.seq < b.seq)
+}
+
 // eventHeap is a hand-rolled binary min-heap of events ordered by (t,
 // seq). container/heap would box every pushed and popped event into an
 // interface — one garbage allocation per simulated event, right on the
-// hottest loop of the simulator — so the sift operations are written out
-// against the concrete slice instead. The heap is the reference
-// implementation of the eventQueue contract (see equeue.go) and the
-// fallback for timestamp distributions that defeat the calendar queue's
-// bucketing.
+// hottest loop of the simulator — so the sifts are written out against
+// the concrete slice, moving a hole instead of swapping. replaceTop
+// lets the engine reschedule a running job's next step with a single
+// sift-down instead of a pop followed by a push.
 type eventHeap []event
 
-func (h eventHeap) less(i, j int) bool {
-	if h[i].t != h[j].t {
-		return h[i].t < h[j].t
-	}
-	return h[i].seq < h[j].seq
-}
-
-func (h *eventHeap) push(e event) {
-	*h = append(*h, e)
-	s := *h
-	// Sift up.
+func (h *eventHeap) push(ev event) {
+	s := append(*h, ev)
 	i := len(s) - 1
 	for i > 0 {
-		parent := (i - 1) / 2
-		if !s.less(i, parent) {
+		p := (i - 1) / 2
+		if !ev.before(s[p]) {
 			break
 		}
-		s[i], s[parent] = s[parent], s[i]
-		i = parent
+		s[i] = s[p]
+		i = p
 	}
+	s[i] = ev
+	*h = s
 }
 
 func (h *eventHeap) pop() event {
 	s := *h
 	top := s[0]
 	n := len(s) - 1
-	s[0] = s[n]
-	s[n] = event{}
+	if n > 0 {
+		s[:n].siftDown(s[n])
+	}
 	*h = s[:n]
-	s = s[:n]
-	// Sift down.
+	return top
+}
+
+// replaceTop overwrites the earliest event with ev and restores the
+// heap order: the fused pop-then-push of a live step.
+func (h eventHeap) replaceTop(ev event) { h.siftDown(ev) }
+
+// siftDown places ev at the root's hole and sinks it to its position.
+func (h eventHeap) siftDown(ev event) {
+	n := len(h)
 	i := 0
 	for {
-		l, r := 2*i+1, 2*i+2
-		smallest := i
-		if l < n && s.less(l, smallest) {
-			smallest = l
-		}
-		if r < n && s.less(r, smallest) {
-			smallest = r
-		}
-		if smallest == i {
+		c := 2*i + 1
+		if c >= n {
 			break
 		}
-		s[i], s[smallest] = s[smallest], s[i]
-		i = smallest
+		if r := c + 1; r < n && h[r].before(h[c]) {
+			c = r
+		}
+		if !h[c].before(ev) {
+			break
+		}
+		h[i] = h[c]
+		i = c
 	}
-	return top
+	h[i] = ev
+}
+
+// disorder returns the first index whose event sorts before its parent,
+// or -1 when the heap order holds.
+func (h eventHeap) disorder() int {
+	for i := 1; i < len(h); i++ {
+		if h[i].before(h[(i-1)/2]) {
+			return i
+		}
+	}
+	return -1
 }
 
 // Engine is the resumable discrete-event core of the simulator. Where
@@ -150,9 +167,15 @@ type Engine struct {
 	net    *netsim.Network
 	rng    *stats.RNG
 
-	events eventQueue
+	events eventHeap
 	seq    int64
 	now    float64
+	// arrivals is the slab holding the (already scaled) job of every
+	// queued arrival event, indexed by the event's h; arrFree recycles
+	// slots LIFO. A slot is taken when the arrival is pushed (Submit or
+	// a retry) and freed when it pops.
+	arrivals []trace.Job
+	arrFree  []int32
 	// queue holds the pending jobs in FCFS arrival order, already
 	// scaled, as a head-offset deque: the live entries are
 	// queue[qhead:] (see pending and dropHead).
@@ -308,14 +331,6 @@ func NewEngine(cfg Config) (*Engine, error) {
 		respMedian: stats.NewP2Quantile(0.5),
 		auditEvery: int64(cfg.AuditEvery),
 	}
-	switch cfg.EventQueue {
-	case "calendar":
-		e.events = newCalQueue()
-	case "heap":
-		e.events = &eventHeap{}
-	default:
-		return nil, fmt.Errorf("sim: unknown event queue %q (valid: calendar, heap)", cfg.EventQueue)
-	}
 	if !cfg.RebuildSched {
 		e.trackPend = !isFCFS
 		e.trackRun = !isFCFS
@@ -410,15 +425,9 @@ func (e *Engine) RunningJobs() int { return e.store.live }
 func (e *Engine) Finished() int { return e.finished }
 
 // CoreStats snapshots the event-core counters: events processed by
-// kind, scheduler rounds run versus skipped by the head-blocked
-// watermark, and the calendar queue's adaptation history.
-func (e *Engine) CoreStats() stats.EventCoreStats {
-	cs := e.core
-	if cq, ok := e.events.(*calQueue); ok {
-		cs.CalResizes, cs.CalDirectScans, cs.CalFellBack = cq.queueStats()
-	}
-	return cs
-}
+// kind and scheduler rounds run versus skipped by the head-blocked
+// watermark.
+func (e *Engine) CoreStats() stats.EventCoreStats { return e.core }
 
 // ErrOversize is the sentinel matched by errors.Is for jobs rejected
 // because they can never (or, under strict capacity, currently cannot)
@@ -478,7 +487,7 @@ func (e *Engine) Submit(j trace.Job) error {
 		j.Arrival = e.now
 	}
 	e.submitted++
-	e.push(event{t: j.Arrival, kind: kindArrival, arr: j})
+	e.pushArrival(j.Arrival, j)
 	return nil
 }
 
@@ -592,8 +601,7 @@ func (e *Engine) runRemove(h int32) {
 // conservative reading, and the ordering contract DESIGN.md documents.
 func (e *Engine) Step() bool {
 	if e.hasFault {
-		ht, _, ok := e.events.head()
-		if !ok {
+		if len(e.events) == 0 {
 			// No job events left. Keep the machine evolving only while
 			// queued work could still be unblocked by a repair;
 			// otherwise the run is over and the infinite failure
@@ -604,25 +612,33 @@ func (e *Engine) Step() bool {
 			e.processFault()
 			return true
 		}
-		if e.nextFault.T <= ht {
+		if e.nextFault.T <= e.events[0].t {
 			e.processFault()
 			return true
 		}
 	}
-	if e.events.len() == 0 {
+	if len(e.events) == 0 {
 		return false
+	}
+	if top := e.events[0]; top.kind == kindStep && !e.store.dead[top.h] {
+		// A live step is processed in place: its follow-up event takes
+		// the next seq — exactly what a pop-then-push would assign —
+		// and overwrites the root with one sift-down.
+		e.core.Events++
+		e.core.Steps++
+		e.advance(top.t)
+		e.events.replaceTop(e.stamp(e.step(top.h, top.t)))
+		e.afterEvent()
+		return true
 	}
 	ev := e.events.pop()
 	e.core.Events++
-	e.account(ev.t)
-	if ev.t > e.now {
-		e.now = ev.t
-	}
+	e.advance(ev.t)
 	switch ev.kind {
 	case kindArrival:
 		e.core.Arrivals++
 		wasEmpty := e.Pending() == 0
-		e.enqueue(ev.arr)
+		e.enqueue(e.takeArrival(ev.h))
 		if e.isFCFS {
 			// Drain every same-timestamp arrival at the head of the queue
 			// before scheduling once, so simultaneous arrivals dispatch
@@ -633,15 +649,11 @@ func (e *Engine) Step() bool {
 			// starts the same jobs in the same order consuming the RNG
 			// identically. Policies that inspect the whole queue (SJF)
 			// keep per-arrival scheduling.
-			for {
-				ht, hk, ok := e.events.head()
-				if !ok || ht != ev.t || hk != kindArrival {
-					break
-				}
+			for len(e.events) > 0 && e.events[0].t == ev.t && e.events[0].kind == kindArrival {
 				next := e.events.pop()
 				e.core.Events++
 				e.core.Arrivals++
-				e.enqueue(next.arr)
+				e.enqueue(e.takeArrival(next.h))
 			}
 		}
 		// A new arrival re-arms a blocked FCFS round only when it
@@ -652,14 +664,10 @@ func (e *Engine) Step() bool {
 		}
 		e.trySchedule(ev.t)
 	case kindStep:
+		// Only a killed job's stale step reaches here: the pop was its
+		// last reference, so the handle recycles.
 		e.core.Steps++
-		if e.store.dead[ev.h] {
-			// Stale event of a killed job: the pop was its last
-			// reference, so the handle recycles here.
-			e.store.release(ev.h)
-			break
-		}
-		e.step(ev.h, ev.t)
+		e.store.release(ev.h)
 	case kindFinish:
 		e.core.Finishes++
 		if e.store.dead[ev.h] {
@@ -672,6 +680,15 @@ func (e *Engine) Step() bool {
 	return true
 }
 
+// advance integrates occupancy up to an event at t and moves the clock
+// forward to it.
+func (e *Engine) advance(t float64) {
+	e.account(t)
+	if t > e.now {
+		e.now = t
+	}
+}
+
 // RunUntil processes every event with time <= t (scaled simulation
 // time) and advances the clock and occupancy accounting to t. Pending
 // fault events up to t are applied even when no job event forces them,
@@ -679,12 +696,12 @@ func (e *Engine) Step() bool {
 // current at t for the next submission.
 func (e *Engine) RunUntil(t float64) {
 	for {
-		ht, _, ok := e.events.head()
-		if e.hasFault && e.nextFault.T <= t && (!ok || e.nextFault.T <= ht) {
+		ok := len(e.events) > 0
+		if e.hasFault && e.nextFault.T <= t && (!ok || e.nextFault.T <= e.events[0].t) {
 			e.processFault()
 			continue
 		}
-		if ok && ht <= t {
+		if ok && e.events[0].t <= t {
 			e.Step()
 			continue
 		}
@@ -708,7 +725,7 @@ func (e *Engine) Drain() {
 // fault events count as events: a queued job stuck behind failed nodes
 // is only deadlocked once the repair stream has nothing more to offer.
 func (e *Engine) Deadlocked() bool {
-	return e.events.len() == 0 && !e.hasFault && (e.Pending() > 0 || e.store.live > 0)
+	return len(e.events) == 0 && !e.hasFault && (e.Pending() > 0 || e.store.live > 0)
 }
 
 // RunSource pumps src into the engine lazily: each job is submitted
@@ -823,10 +840,7 @@ func (e *Engine) processFault() {
 	ev := e.nextFault
 	e.advanceFault()
 	e.core.FaultEvents++
-	e.account(ev.T)
-	if ev.T > e.now {
-		e.now = ev.T
-	}
+	e.advance(ev.T)
 	n := ev.Node
 	switch ev.Kind {
 	case fault.NodeDown:
@@ -951,7 +965,7 @@ func (e *Engine) killJob(h int32, now float64) {
 	if e.cfg.Retry.Allow(kills) {
 		e.retried++
 		delay := e.cfg.Retry.Delay(kills) * e.cfg.TimeScale
-		e.push(event{t: now + delay, kind: kindArrival, arr: job})
+		e.pushArrival(now+delay, job)
 	} else {
 		e.givenUp++
 		delete(e.killCount, job.ID)
@@ -959,10 +973,36 @@ func (e *Engine) killJob(h int32, now float64) {
 	e.trySchedule(now)
 }
 
-func (e *Engine) push(ev event) {
+func (e *Engine) push(ev event) { e.events.push(e.stamp(ev)) }
+
+// stamp assigns ev the next FIFO sequence number.
+func (e *Engine) stamp(ev event) event {
 	ev.seq = e.seq
 	e.seq++
-	e.events.push(ev)
+	return ev
+}
+
+// pushArrival queues job j to arrive at t, parking it in a slab slot.
+func (e *Engine) pushArrival(t float64, j trace.Job) {
+	e.push(event{t: t, kind: kindArrival, h: e.parkArrival(j)})
+}
+
+// parkArrival stores j in a free arrival slot and returns the slot.
+func (e *Engine) parkArrival(j trace.Job) int32 {
+	if n := len(e.arrFree); n > 0 {
+		slot := e.arrFree[n-1]
+		e.arrFree = e.arrFree[:n-1]
+		e.arrivals[slot] = j
+		return slot
+	}
+	e.arrivals = append(e.arrivals, j)
+	return int32(len(e.arrivals) - 1)
+}
+
+// takeArrival returns the job parked in slot and frees the slot.
+func (e *Engine) takeArrival(slot int32) trace.Job {
+	e.arrFree = append(e.arrFree, slot)
+	return e.arrivals[slot]
 }
 
 func (e *Engine) quotaOf(j trace.Job) int64 {
@@ -1232,8 +1272,10 @@ func (e *Engine) finish(h int32, now float64) {
 }
 
 // step issues the next burst of messages for the job at handle h at
-// time now and schedules the follow-up event.
-func (e *Engine) step(h int32, now float64) {
+// time now and returns the job's follow-up event, unsequenced: the next
+// step at the burst's last delivery, or the finish once the quota is
+// sent.
+func (e *Engine) step(h int32, now float64) event {
 	s := &e.store
 	burst := int64(1)
 	if e.cfg.Issue == IssuePhased {
@@ -1275,9 +1317,8 @@ func (e *Engine) step(h int32, now float64) {
 		s.lastArr[h] = maxArr
 	}
 	if sent >= quota {
-		e.push(event{t: maxArr, kind: kindFinish, h: h})
-		return
+		return event{t: maxArr, kind: kindFinish, h: h}
 	}
 	// Barrier: the next subphase starts when this burst has arrived.
-	e.push(event{t: maxArr, kind: kindStep, h: h})
+	return event{t: maxArr, kind: kindStep, h: h}
 }

@@ -316,8 +316,8 @@ func TestEngineRunSourceBoundedHeap(t *testing.T) {
 		if err := e.Submit(j); err != nil {
 			t.Fatal(err)
 		}
-		if e.events.len() > maxHeap {
-			maxHeap = e.events.len()
+		if len(e.events) > maxHeap {
+			maxHeap = len(e.events)
 		}
 	}
 	e.Drain()
@@ -328,6 +328,11 @@ func TestEngineRunSourceBoundedHeap(t *testing.T) {
 	// the heap should stay tiny, never O(stream length).
 	if maxHeap > 64 {
 		t.Fatalf("event heap reached %d entries on a lazily-fed run", maxHeap)
+	}
+	// Each arrival frees its slab slot when it pops, so a lazily-fed run
+	// reuses a handful of slots instead of one per job.
+	if len(e.arrivals) > 64 {
+		t.Fatalf("arrival slab grew to %d slots on a lazily-fed run", len(e.arrivals))
 	}
 }
 

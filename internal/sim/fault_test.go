@@ -344,11 +344,13 @@ func TestFaultRunDeterministic(t *testing.T) {
 
 // TestFaultRunAcrossEventCoreToggles: a fault-injected run — kills,
 // retries, mask/unmask churn and all — produces one digest across the
-// whole event-core matrix: {calendar, heap} queue × {incremental,
-// rebuild} scheduler state × {counted, naive} metrics. Fault events
-// stress exactly the paths the fault-free goldens cannot (the
-// fault-first tie rule against the queue head, watermark invalidation
-// on mask/unmask, dead-handle recycling through the queue).
+// whole event-core matrix: {off, every auditStride events} invariant
+// audit × {incremental, rebuild} scheduler state × {counted, naive}
+// metrics. Fault events stress exactly the paths the fault-free goldens
+// cannot (the fault-first tie rule against the heap root, watermark
+// invalidation on mask/unmask, dead-handle recycling through the heap,
+// retry arrivals taking and freeing slab slots), and the audits check
+// those books mid-run.
 func TestFaultRunAcrossEventCoreToggles(t *testing.T) {
 	for _, spec := range []string{"hilbert/bestfit", "mc1x1"} {
 		t.Run(spec, func(t *testing.T) {
@@ -361,11 +363,11 @@ func TestFaultRunAcrossEventCoreToggles(t *testing.T) {
 				t.Fatalf("workload too calm: no kills")
 			}
 			want := goldenDigest(base)
-			for _, equeue := range []string{"calendar", "heap"} {
+			for _, audit := range []int{0, auditStride} {
 				for _, rebuild := range []bool{false, true} {
 					for _, naive := range []bool{false, true} {
 						cfg := faultyCfg(spec, 0)
-						cfg.EventQueue = equeue
+						cfg.AuditEvery = audit
 						cfg.RebuildSched = rebuild
 						cfg.NaiveMetrics = naive
 						res, err := Run(cfg, tr)
@@ -373,11 +375,11 @@ func TestFaultRunAcrossEventCoreToggles(t *testing.T) {
 							t.Fatal(err)
 						}
 						if got := goldenDigest(res); got != want {
-							t.Fatalf("%s/rebuild=%v/naive=%v digest %s, want %s",
-								equeue, rebuild, naive, got, want)
+							t.Fatalf("audit=%d/rebuild=%v/naive=%v digest %s, want %s",
+								audit, rebuild, naive, got, want)
 						}
 						if res.Killed != base.Killed || res.Retried != base.Retried || res.GivenUp != base.GivenUp {
-							t.Fatalf("%s/rebuild=%v/naive=%v fault counters diverge", equeue, rebuild, naive)
+							t.Fatalf("audit=%d/rebuild=%v/naive=%v fault counters diverge", audit, rebuild, naive)
 						}
 					}
 				}

@@ -98,24 +98,31 @@ func TestBatchRunGoldenDigests(t *testing.T) {
 	}
 }
 
+// auditStride is the AuditEvery value the equivalence matrices run
+// beside 0: frequent enough that every case audits the event heap, the
+// arrival slab and the rest of the engine's books many times mid-run,
+// sparse enough to keep the matrices cheap.
+const auditStride = 32
+
 // TestGoldenDigestsAcrossEventCoreToggles re-runs every golden case
-// through the full event-core configuration matrix — {calendar, heap}
-// event queue × {incremental, rebuild-per-round} scheduler state ×
-// {counted, naive} dispersal metrics — and requires the identical
-// pre-overhaul digest from each of the eight combinations. This is the
-// equivalence contract of the PR 9 overhaul: every fast path must be a
-// pure performance change, indistinguishable in any output bit from the
-// retained reference implementations.
+// through the event-core configuration matrix — {off, every
+// auditStride events} invariant audit × {incremental, rebuild-per-round}
+// scheduler state × {counted, naive} dispersal metrics — and requires
+// the identical pre-overhaul digest from each of the eight
+// combinations. Every fast path must be a pure performance change,
+// indistinguishable in any output bit from the retained reference
+// implementations, and the mid-run audits must neither fire nor
+// perturb the run.
 func TestGoldenDigestsAcrossEventCoreToggles(t *testing.T) {
 	for _, tc := range goldenCases {
-		for _, equeue := range []string{"calendar", "heap"} {
+		for _, audit := range []int{0, auditStride} {
 			for _, rebuild := range []bool{false, true} {
 				for _, naive := range []bool{false, true} {
 					cfg := tc.cfg
-					cfg.EventQueue = equeue
+					cfg.AuditEvery = audit
 					cfg.RebuildSched = rebuild
 					cfg.NaiveMetrics = naive
-					name := fmt.Sprintf("%s/%s/rebuild=%v/naive=%v", tc.name, equeue, rebuild, naive)
+					name := fmt.Sprintf("%s/audit=%d/rebuild=%v/naive=%v", tc.name, audit, rebuild, naive)
 					t.Run(name, func(t *testing.T) {
 						tr := trace.NewSDSC(trace.SDSCConfig{Jobs: tc.jobs, MaxSize: tc.max, Seed: 1}).
 							FilterMaxSize(tc.max)

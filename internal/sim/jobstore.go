@@ -7,13 +7,13 @@ import (
 
 // jobStore holds every in-flight job's state as a struct of parallel
 // arrays indexed by pooled int32 handles. Events reference jobs by
-// handle, so the event queue — the largest long-lived structure on a
+// handle, so the event heap — the largest long-lived structure on a
 // Discard run — carries no pointers at all and costs the garbage
 // collector nothing to scan; the pointered columns (nodes, gen) are
 // bounded by the number of concurrently running jobs, not by queue
 // depth. Handles are recycled LIFO through free, exactly as the old
 // *runningJob pool recycled structs: a handle stays in use after a kill
-// (dead=true) until the job's one stale queue event pops and releases
+// (dead=true) until the job's one stale heap event pops and releases
 // it, so a recycled handle can never collide with a live queue entry.
 type jobStore struct {
 	job      []trace.Job
@@ -63,7 +63,7 @@ func (s *jobStore) alloc() int32 {
 	return h
 }
 
-// markDead flags a killed job whose stale queue event still holds the
+// markDead flags a killed job whose stale heap event still holds the
 // handle; the handle leaves the running count now but returns to the
 // pool only when that event pops.
 func (s *jobStore) markDead(h int32) {

@@ -143,14 +143,6 @@ type Config struct {
 	// with no attempt bound; parse "none", "immediate[:N]" or
 	// "backoff:BASE,CAP[,N]" specs with fault.ParseRetry.
 	Retry fault.Retry
-	// EventQueue selects the event-core priority queue: "calendar"
-	// (default — adaptive calendar queue, O(1) amortized, with an
-	// automatic demotion to the heap on pathological timestamp
-	// distributions) or "heap" (the retained binary-heap reference).
-	// Both pop the identical (t, seq) order, so every output is
-	// bit-identical either way; the knob exists for equivalence testing
-	// and for profiling one against the other.
-	EventQueue string
 	// RebuildSched, when true, rebuilds the scheduler's pending/running
 	// snapshots from scratch on every round and disables the
 	// head-blocked watermark — the reference path the incremental
@@ -188,9 +180,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MsgsPerSecond == 0 {
 		c.MsgsPerSecond = 1
-	}
-	if c.EventQueue == "" {
-		c.EventQueue = "calendar"
 	}
 	return c
 }

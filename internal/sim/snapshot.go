@@ -19,10 +19,10 @@ import (
 
 // ErrConfigMismatch is returned (wrapped) by RestoreEngine when the
 // snapshot was taken under a semantically different Config than the one
-// the restore supplies. Fields that cannot change outcomes — EventQueue,
+// the restore supplies. Fields that cannot change outcomes —
 // AllocWorkers, RebuildSched, NaiveMetrics, AuditEvery — are excluded
 // from the comparison, so a run may legally resume under a different
-// queue implementation or worker count.
+// worker count or scheduler-state path.
 var ErrConfigMismatch = errors.New("sim: snapshot was taken under a different configuration")
 
 // cfgFingerprint hashes the semantic configuration fields — the ones
@@ -61,7 +61,7 @@ func (e *Engine) readJob(r *snap.Reader) (trace.Job, error) {
 func finite(f float64) bool { return !math.IsNaN(f) && !math.IsInf(f, 0) }
 
 // Snapshot serializes the engine's authoritative state — clock, streaming
-// aggregates, the job store, the event queue, the pending queue, RNG
+// aggregates, the job store, the event heap, the pending queue, RNG
 // stream positions, fault and network state, and (under the Keep policy)
 // the retained records — as one versioned, checksummed binary blob.
 // Derived indexes (allocator occupancy structures, fault masks, the
@@ -164,21 +164,28 @@ func (e *Engine) Snapshot(out io.Writer) error {
 		w.Int(int(h))
 	}
 
-	// The pending FCFS queue and the event queue. Events are visited in
-	// queue-internal order; each carries its assigned seq, so any visit
-	// order restores an equivalent queue.
+	// The pending FCFS queue and the event heap. Events are written in
+	// heap-array order; each carries its assigned seq, so any order
+	// restores an equivalent heap. An arrival writes handle 0 and its
+	// job inline (slab slots are not state), every other event its
+	// handle and a zero job.
 	w.Int(e.Pending())
 	for _, j := range e.pending() {
 		writeJob(w, j)
 	}
-	w.Int(e.events.len())
-	e.events.each(func(ev event) {
+	w.Int(len(e.events))
+	for _, ev := range e.events {
 		w.F64(ev.t)
 		w.I64(ev.seq)
-		w.Int(ev.kind)
-		w.Int(int(ev.h))
-		writeJob(w, ev.arr)
-	})
+		w.Int(int(ev.kind))
+		if ev.kind == kindArrival {
+			w.Int(0)
+			writeJob(w, e.arrivals[ev.h])
+		} else {
+			w.Int(int(ev.h))
+			writeJob(w, trace.Job{})
+		}
+	}
 	w.Bool(e.hasHeld)
 	if e.hasHeld {
 		writeJob(w, e.held)
@@ -284,8 +291,8 @@ func (e *Engine) Snapshot(out io.Writer) error {
 // sequence, records and aggregates are bit-identical to the run that
 // never stopped. cfg must match the snapshotting run's semantic
 // configuration (ErrConfigMismatch otherwise); the outcome-neutral
-// fields — EventQueue, AllocWorkers, RebuildSched, NaiveMetrics,
-// AuditEvery — may differ freely.
+// fields — AllocWorkers, RebuildSched, NaiveMetrics, AuditEvery — may
+// differ freely.
 //
 // Corrupt input is rejected with a typed error, never a panic:
 // snap.ErrBadMagic, snap.ErrVersion or snap.ErrChecksum for a damaged
@@ -430,7 +437,7 @@ func RestoreEngine(in io.Reader, cfg Config) (*Engine, error) {
 		s.free = append(s.free, int32(fh))
 	}
 
-	// Pending queue and event queue.
+	// Pending queue and event heap.
 	nq := r.Count(1 << 31)
 	for i := 0; i < nq && r.Err() == nil; i++ {
 		j, err := e.readJob(r)
@@ -441,20 +448,21 @@ func RestoreEngine(in io.Reader, cfg Config) (*Engine, error) {
 	}
 	ne := r.Count(1 << 31)
 	for i := 0; i < ne && r.Err() == nil; i++ {
-		ev := event{t: r.F64(), seq: r.I64(), kind: r.Int(), h: int32(r.Int())}
-		if ev.kind == kindArrival {
+		t, seq, kind, h := r.F64(), r.I64(), r.Int(), r.Int()
+		ev := event{t: t, seq: seq, kind: int32(kind), h: int32(h)}
+		if kind == kindArrival {
 			j, err := e.readJob(r)
 			if err != nil {
 				return nil, err
 			}
-			ev.arr = j
+			ev.h = e.parkArrival(j)
 		} else {
 			// Non-arrival events carry a zero job; skip its fields.
 			if _, err := e.readJob(r); err != nil && r.Err() != nil {
 				return nil, r.Err()
 			}
-			if r.Err() == nil && (ev.h < 0 || int(ev.h) >= nh) {
-				return nil, fmt.Errorf("sim: event handle %d outside [0,%d): %w", ev.h, nh, snap.ErrCorrupt)
+			if r.Err() == nil && (h < 0 || h >= nh) {
+				return nil, fmt.Errorf("sim: event handle %d outside [0,%d): %w", h, nh, snap.ErrCorrupt)
 			}
 		}
 		if r.Err() != nil {
@@ -464,8 +472,8 @@ func RestoreEngine(in io.Reader, cfg Config) (*Engine, error) {
 			return nil, fmt.Errorf("sim: event (t=%v seq=%d) inconsistent with clock %v seq %d: %w",
 				ev.t, ev.seq, e.now, e.seq, snap.ErrCorrupt)
 		}
-		if ev.kind < kindArrival || ev.kind > kindFinish {
-			return nil, fmt.Errorf("sim: unknown event kind %d: %w", ev.kind, snap.ErrCorrupt)
+		if kind < kindArrival || kind > kindFinish {
+			return nil, fmt.Errorf("sim: unknown event kind %d: %w", kind, snap.ErrCorrupt)
 		}
 		e.events.push(ev)
 	}

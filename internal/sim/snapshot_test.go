@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"math/rand"
 	"strings"
 	"testing"
 
@@ -102,13 +103,13 @@ func countEvents(t *testing.T, cfg Config, tr *trace.Trace) int {
 // snapshot at an interior event count, throw the engine away, restore
 // from the bytes, run to completion — and require the bit-identical
 // golden digest of the run that never stopped. Three interior points ×
-// both event-queue implementations × every resume case, including
-// active fault injection.
+// {off, every auditStride events} invariant audit × every resume case,
+// including active fault injection.
 func TestSnapshotResumeGoldenEquivalence(t *testing.T) {
 	for _, tc := range resumeCases {
-		for _, equeue := range []string{"calendar", "heap"} {
+		for _, audit := range []int{0, auditStride} {
 			cfg := tc.cfg
-			cfg.EventQueue = equeue
+			cfg.AuditEvery = audit
 			tr := tc.tr()
 			res, err := Run(cfg, tr)
 			if err != nil {
@@ -117,7 +118,7 @@ func TestSnapshotResumeGoldenEquivalence(t *testing.T) {
 			want := goldenDigest(res)
 			total := countEvents(t, cfg, tr)
 			for _, n := range []int{total / 4, total / 2, 3 * total / 4} {
-				name := fmt.Sprintf("%s/%s/at=%d", tc.name, equeue, n)
+				name := fmt.Sprintf("%s/audit=%d/at=%d", tc.name, audit, n)
 				t.Run(name, func(t *testing.T) {
 					blob := snapshotAt(t, cfg, tr, n)
 					e, err := RestoreEngine(bytes.NewReader(blob), cfg)
@@ -140,34 +141,78 @@ func TestSnapshotResumeGoldenEquivalence(t *testing.T) {
 	}
 }
 
-// TestSnapshotResumeAcrossQueueImplementations: the snapshot is queue-
-// agnostic — a calendar-queue run restored into a heap engine (and vice
-// versa) still reproduces the uninterrupted digest, because EventQueue
-// is excluded from the config fingerprint and events re-sort by (t, seq).
-func TestSnapshotResumeAcrossQueueImplementations(t *testing.T) {
-	tc := resumeCases[0]
-	tr := tc.tr()
-	res, err := Run(tc.cfg, tr)
-	if err != nil {
-		t.Fatal(err)
+// TestSnapshotRestoresPermutedEventBlock: the snapshot's event block is
+// order-free. A snapshot whose events were written in reversed or
+// shuffled order — as an older engine's queue-internal walk could
+// write them — restores to a heap that pops the identical (t, seq)
+// sequence and reproduces the uninterrupted digest. The faulty case
+// snapshots with a retry arrival queued.
+func TestSnapshotRestoresPermutedEventBlock(t *testing.T) {
+	permute := map[string]func([]event){
+		"reversed": func(evs []event) {
+			for i, j := 0, len(evs)-1; i < j; i, j = i+1, j-1 {
+				evs[i], evs[j] = evs[j], evs[i]
+			}
+		},
+		"shuffled": func(evs []event) {
+			rng := rand.New(rand.NewSource(3))
+			rng.Shuffle(len(evs), func(i, j int) { evs[i], evs[j] = evs[j], evs[i] })
+		},
 	}
-	want := goldenDigest(res)
-	total := countEvents(t, tc.cfg, tr)
-	for _, dir := range []struct{ from, to string }{{"calendar", "heap"}, {"heap", "calendar"}} {
-		t.Run(dir.from+"-to-"+dir.to, func(t *testing.T) {
-			cfgFrom, cfgTo := tc.cfg, tc.cfg
-			cfgFrom.EventQueue = dir.from
-			cfgTo.EventQueue = dir.to
-			blob := snapshotAt(t, cfgFrom, tr, total/2)
-			e, err := RestoreEngine(bytes.NewReader(blob), cfgTo)
-			if err != nil {
-				t.Fatal(err)
-			}
-			e.Drain()
-			if got := goldenDigest(e.Result()); got != want {
-				t.Fatalf("cross-queue resume digest %s, want %s", got, want)
-			}
-		})
+	for _, k := range []int{0, 3} {
+		tc := resumeCases[k]
+		tr := tc.tr()
+		res, err := Run(tc.cfg, tr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := goldenDigest(res)
+		total := countEvents(t, tc.cfg, tr)
+		for _, how := range []string{"reversed", "shuffled"} {
+			t.Run(tc.name+"/"+how, func(t *testing.T) {
+				e, err := NewEngine(tc.cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, j := range tr.Jobs {
+					if err := e.Submit(j); err != nil {
+						t.Fatal(err)
+					}
+				}
+				// Stop past the midpoint, and under faults only once a
+				// retry arrival is queued.
+				for i := 0; i < total/2 || (tc.cfg.Faults.Enabled() && queuedRetries(e) == 0); i++ {
+					if !e.Step() {
+						t.Fatal("run ended before a retry arrival was queued")
+					}
+				}
+				if len(e.events) < 3 {
+					t.Fatalf("only %d events queued mid-run; nothing to permute", len(e.events))
+				}
+				var canonical, permuted bytes.Buffer
+				if err := e.Snapshot(&canonical); err != nil {
+					t.Fatal(err)
+				}
+				permute[how](e.events)
+				if err := e.Snapshot(&permuted); err != nil {
+					t.Fatal(err)
+				}
+				if bytes.Equal(canonical.Bytes(), permuted.Bytes()) {
+					t.Fatal("permuting the heap array left the event block unchanged")
+				}
+				r, err := RestoreEngine(bytes.NewReader(permuted.Bytes()), tc.cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				r.Drain()
+				if err := r.Audit(); err != nil {
+					t.Fatalf("post-drain audit: %v", err)
+				}
+				if got := goldenDigest(r.Result()); got != want {
+					t.Fatalf("permuted-block resume digest %s, want %s", got, want)
+				}
+			})
+		}
 	}
 }
 
@@ -279,7 +324,6 @@ func TestRestoreConfigMismatch(t *testing.T) {
 		t.Fatalf("alloc change: got %v, want ErrConfigMismatch", err)
 	}
 	ok := tc.cfg
-	ok.EventQueue = "heap"
 	ok.AllocWorkers = 4
 	ok.RebuildSched = true
 	ok.AuditEvery = 10
@@ -314,7 +358,8 @@ func TestRestoreRejectsDamage(t *testing.T) {
 }
 
 // FuzzRestoreEngine feeds arbitrary bytes — seeded with a valid
-// snapshot plus truncated and bit-flipped variants — to RestoreEngine.
+// snapshot (one of them holding queued retry arrivals) plus truncated
+// and bit-flipped variants — to RestoreEngine.
 // The contract under fuzzing: corrupt input yields a typed error, never
 // a panic, and any input accepted as valid yields an engine whose
 // invariants audit clean and that can step without crashing.
@@ -323,7 +368,8 @@ func FuzzRestoreEngine(f *testing.F) {
 		Load: 0.4, TimeScale: 0.01, Seed: 1}
 	cfgF := faultyCfg("mc1x1", 0)
 	tr := faultTrace(60, 32)
-	seed := func(c Config, n int) []byte {
+	// seed snapshots after n events, then steps on until done(e) holds.
+	seed := func(c Config, n int, done func(*Engine) bool) []byte {
 		e, err := NewEngine(c)
 		if err != nil {
 			f.Fatal(err)
@@ -333,8 +379,10 @@ func FuzzRestoreEngine(f *testing.F) {
 				f.Fatal(err)
 			}
 		}
-		for i := 0; i < n; i++ {
-			e.Step()
+		for i := 0; i < n || !done(e); i++ {
+			if !e.Step() {
+				f.Fatal("seed run ended early")
+			}
 		}
 		var buf bytes.Buffer
 		if err := e.Snapshot(&buf); err != nil {
@@ -342,10 +390,12 @@ func FuzzRestoreEngine(f *testing.F) {
 		}
 		return buf.Bytes()
 	}
-	valid := seed(cfg, 100)
-	validF := seed(cfgF, 200)
+	always := func(*Engine) bool { return true }
+	valid := seed(cfg, 100, always)
+	validF := seed(cfgF, 200, always)
 	f.Add(valid)
 	f.Add(validF)
+	f.Add(seed(cfgF, 0, func(e *Engine) bool { return queuedRetries(e) > 0 }))
 	f.Add(valid[:len(valid)/2])
 	f.Add(validF[:17])
 	for _, pos := range []int{0, 5, 9, 16, 40, len(valid) / 2} {
@@ -466,6 +516,32 @@ func TestAuditDetectsCorruption(t *testing.T) {
 	check("store-live", "store-live", func(e *Engine) { e.store.live++ })
 	check("job-conservation", "job-conservation", func(e *Engine) { e.submitted++ })
 	check("event-seq", "event-seq", func(e *Engine) { e.seq = 0 })
+	check("event-heap", "event-heap", func(e *Engine) {
+		last := len(e.events) - 1
+		e.events[0], e.events[last] = e.events[last], e.events[0]
+	})
+	// arrivalAt returns the heap index of the k-th queued arrival event.
+	arrivalAt := func(e *Engine, k int) int {
+		for i, ev := range e.events {
+			if ev.kind == kindArrival {
+				if k == 0 {
+					return i
+				}
+				k--
+			}
+		}
+		t.Fatal("too few arrival events queued")
+		return -1
+	}
+	check("arrival-slot-freed", "arrival-slot", func(e *Engine) {
+		e.arrFree = append(e.arrFree, e.events[arrivalAt(e, 0)].h)
+	})
+	check("arrival-slot-shared", "arrival-slot", func(e *Engine) {
+		e.events[arrivalAt(e, 1)].h = e.events[arrivalAt(e, 0)].h
+	})
+	check("arrival-slot-leaked", "arrival-slot", func(e *Engine) {
+		e.arrivals = append(e.arrivals, trace.Job{})
+	})
 }
 
 // TestSnapshotResumeWithQueueHeadOffset checkpoints while the pending
@@ -525,4 +601,17 @@ func TestSnapshotResumeWithQueueHeadOffset(t *testing.T) {
 	if got := goldenDigest(r.Result()); got != want {
 		t.Fatalf("resumed digest %s, want %s", got, want)
 	}
+}
+
+// queuedRetries counts the queued arrival events that resubmit a killed
+// job: a retry keeps the job's original arrival time, so it is queued
+// later than that arrival.
+func queuedRetries(e *Engine) int {
+	n := 0
+	for _, ev := range e.events {
+		if ev.kind == kindArrival && e.arrivals[ev.h].Arrival < ev.t {
+			n++
+		}
+	}
+	return n
 }

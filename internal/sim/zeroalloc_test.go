@@ -100,6 +100,12 @@ func TestTryScheduleDispatchSteadyStateAllocs(t *testing.T) {
 			if e.Finished() != id {
 				t.Fatalf("finished %d of %d jobs", e.Finished(), id)
 			}
+			// One arrival is queued at a time, so its slab slot recycles
+			// on every cycle.
+			if len(e.arrivals) != 1 || len(e.arrFree) != 1 {
+				t.Fatalf("arrival slab holds %d slots (%d free) after %d cycles; want 1 recycled slot",
+					len(e.arrivals), len(e.arrFree), id)
+			}
 		})
 	}
 }

@@ -3,11 +3,10 @@ package stats
 // EventCoreStats counts what the simulation engine's event core did
 // over a run: how many events of each kind it processed, how often the
 // scheduler actually ran versus short-circuited on the head-blocked
-// watermark, and how the calendar queue adapted. The counters are plain
-// increments on the hot path — no locks, no allocation — and exist for
-// the profiling layer: BENCH_9.json derives events/sec from Events, and
-// `simrun -cpuprofile` runs print them so a queue that silently fell
-// back to the heap is visible.
+// watermark. The counters are plain increments on the hot path — no
+// locks, no allocation — and exist for the profiling layer: BENCH_9.json
+// derives events/sec from Events, and `simrun -cpuprofile` runs print
+// them next to the profile.
 type EventCoreStats struct {
 	// Events is the total number of job events popped (arrivals, steps,
 	// finishes — the denominator of events/sec). FaultEvents counts
@@ -25,12 +24,10 @@ type EventCoreStats struct {
 	SchedRounds int64
 	SchedSkips  int64
 
-	// Calendar-queue adaptation counters, zero under EventQueue "heap":
-	// CalResizes counts bucket-array reshapes, CalDirectScans the
-	// empty-year cursor jumps, and CalFellBack reports a permanent
-	// demotion to the binary heap on a pathological timestamp
-	// distribution.
+	// CalResizes and CalDirectScans are always zero: they counted the
+	// adaptation of the calendar queue the event core no longer has,
+	// and stay only until the benchmark tracer that reads them drops
+	// them.
 	CalResizes     int64
 	CalDirectScans int64
-	CalFellBack    bool
 }
