@@ -552,42 +552,37 @@ func BenchmarkEventCore(b *testing.B) {
 // BenchmarkSchedulerRound isolates the incremental scheduler state: the
 // EASY backfill policy — the one whose shadow-time scan used to copy and
 // sort the running set every round — over a saturated closed workload,
-// with the persistent end-time-ordered index against the retained
-// rebuild-per-round reference. ns_per_round divides wall time by rounds
-// actually run (head-blocked skips are the watermark's job and count for
-// neither side; EASY never skips).
+// reading the persistent end-time-ordered index. ns_per_round divides
+// wall time by rounds actually run (EASY never skips a round).
 func BenchmarkSchedulerRound(b *testing.B) {
 	tr := benchTrace(5000, 256)
-	for _, variant := range []string{"incremental", "rebuild"} {
-		b.Run(variant, func(b *testing.B) {
-			var rounds int64
-			for i := 0; i < b.N; i++ {
-				cfg := sim.Config{
-					MeshW: 16, MeshH: 16,
-					Alloc: "hilbert/bestfit", Pattern: "nbody",
-					Load: 0.4, TimeScale: 0.01, Seed: 1,
-					Scheduler:    "easy",
-					RebuildSched: variant == "rebuild",
-					KeepRecords:  sim.Discard,
-					KeepNodes:    sim.Discard,
-				}
-				e, err := sim.NewEngine(cfg)
-				if err != nil {
-					b.Fatal(err)
-				}
-				count := 0
-				e.Observe(func(sim.JobRecord) { count++ })
-				if err := e.RunSource(tr.Source(), 0); err != nil {
-					b.Fatal(err)
-				}
-				if count != len(tr.Jobs) {
-					b.Fatal("short run")
-				}
-				rounds += e.CoreStats().SchedRounds
+	b.Run("incremental", func(b *testing.B) {
+		var rounds int64
+		for i := 0; i < b.N; i++ {
+			cfg := sim.Config{
+				MeshW: 16, MeshH: 16,
+				Alloc: "hilbert/bestfit", Pattern: "nbody",
+				Load: 0.4, TimeScale: 0.01, Seed: 1,
+				Scheduler:   "easy",
+				KeepRecords: sim.Discard,
+				KeepNodes:   sim.Discard,
 			}
-			reportMetric(b, "ns_per_round", float64(b.Elapsed().Nanoseconds())/float64(rounds))
-		})
-	}
+			e, err := sim.NewEngine(cfg)
+			if err != nil {
+				b.Fatal(err)
+			}
+			count := 0
+			e.Observe(func(sim.JobRecord) { count++ })
+			if err := e.RunSource(tr.Source(), 0); err != nil {
+				b.Fatal(err)
+			}
+			if count != len(tr.Jobs) {
+				b.Fatal("short run")
+			}
+			rounds += e.CoreStats().SchedRounds
+		}
+		reportMetric(b, "ns_per_round", float64(b.Elapsed().Nanoseconds())/float64(rounds))
+	})
 }
 
 // --- Parallel experiment fabric (see BENCH.md: BENCH_5.json) ---
@@ -637,39 +632,6 @@ func BenchmarkParallelSweepExtSteady(b *testing.B) {
 	benchSweepScaling(b, "ext-steady", func(o core.Options) (*core.Figure, error) {
 		return core.ExtSteady(o)
 	})
-}
-
-// BenchmarkAllocateParallel times the sharded candidate scan against
-// the sequential loop on a large machine at realistic occupancy. The
-// parallel scan answers are bit-identical (see alloc's parallel tests);
-// the question here is only the goroutine overhead versus core count.
-func BenchmarkAllocateParallel(b *testing.B) {
-	variants := []struct {
-		name string
-		mk   func(*topo.Grid) alloc.Allocator
-	}{
-		{"mc", func(g *topo.Grid) alloc.Allocator { return alloc.NewMC(g) }},
-		{"genalg", func(g *topo.Grid) alloc.Allocator { return alloc.NewGenAlg(g) }},
-	}
-	for _, v := range variants {
-		for _, workers := range []int{1, 2, 4, 8} {
-			b.Run(fmt.Sprintf("32x32/%s/workers%d", v.name, workers), func(b *testing.B) {
-				g := topo.New([]int{32, 32})
-				a := v.mk(g)
-				a.(alloc.ParallelScorer).SetParallelism(workers)
-				prefillAllocator(b, a, g.Size())
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					ids, err := a.Allocate(alloc.Request{Size: 64})
-					if err != nil {
-						b.Fatal(err)
-					}
-					a.Release(ids)
-				}
-				reportMetric(b, "ns_per_alloc", float64(b.Elapsed().Nanoseconds())/float64(b.N))
-			})
-		}
-	}
 }
 
 // --- Micro-benchmarks of the substrates ---
@@ -729,10 +691,8 @@ func prefillAllocator(b *testing.B, a alloc.Allocator, total int) {
 }
 
 // BenchmarkAllocateLarge times the MC-family and Gen-Alg scorers on
-// production-scale machines at realistic mixed occupancy, with the
-// retained reference (pre-index) scorers alongside for the
-// before/after comparison. The ns_per_alloc metric feeds BENCH_JSON
-// (see BENCH.md: BENCH_3.json).
+// production-scale machines at realistic mixed occupancy. The
+// ns_per_alloc metric feeds BENCH_JSON (see BENCH.md: BENCH_3.json).
 func BenchmarkAllocateLarge(b *testing.B) {
 	machines := []struct {
 		name string
@@ -746,11 +706,8 @@ func BenchmarkAllocateLarge(b *testing.B) {
 		mk   func(*topo.Grid) alloc.Allocator
 	}{
 		{"mc", func(g *topo.Grid) alloc.Allocator { return alloc.NewMC(g) }},
-		{"mc/naive", func(g *topo.Grid) alloc.Allocator { return alloc.NewMCNaive(g) }},
 		{"mc1x1", func(g *topo.Grid) alloc.Allocator { return alloc.NewMC1x1(g) }},
-		{"mc1x1/naive", func(g *topo.Grid) alloc.Allocator { return alloc.NewMC1x1Naive(g) }},
 		{"genalg", func(g *topo.Grid) alloc.Allocator { return alloc.NewGenAlg(g) }},
-		{"genalg/naive", func(g *topo.Grid) alloc.Allocator { return alloc.NewGenAlgNaive(g) }},
 	}
 	for _, m := range machines {
 		for _, v := range variants {
@@ -805,10 +762,8 @@ func prefillPacker(b *testing.B, p *binpack.Packer, total int) {
 }
 
 // BenchmarkBitsetScan times first-fit and best-fit candidate enumeration
-// over the word-parallel bitset free map against the retained naive
-// rank-by-rank walk, at mixed occupancy on 32x32 and 16x16x16 machines.
-// The speedup_word_vs_naive metric in BENCH_7.json is PR 7's >= 3x
-// acceptance bar (see BENCH.md).
+// over the word-parallel bitset free map at mixed occupancy on 32x32 and
+// 16x16x16 machines.
 func BenchmarkBitsetScan(b *testing.B) {
 	machines := []struct {
 		name string
@@ -823,30 +778,22 @@ func BenchmarkBitsetScan(b *testing.B) {
 			b.Fatal(err)
 		}
 		for _, strat := range []binpack.Strategy{binpack.FirstFit, binpack.BestFit} {
-			var wall [2]float64
-			for vi, variant := range []string{"word", "naive"} {
-				b.Run(fmt.Sprintf("%s/%s/%s", m.name, strat, variant), func(b *testing.B) {
-					p := binpack.New(order)
-					p.SetWordScan(variant == "word")
-					prefillPacker(b, p, len(order))
-					// A small request keeps the shared Allocate/Release
-					// bookkeeping (id slice, rank marking) from drowning
-					// out the interval enumeration under measurement.
-					b.ResetTimer()
-					for i := 0; i < b.N; i++ {
-						ids, err := p.Allocate(8, strat)
-						if err != nil {
-							b.Fatal(err)
-						}
-						p.Release(ids)
+			b.Run(fmt.Sprintf("%s/%s/word", m.name, strat), func(b *testing.B) {
+				p := binpack.New(order)
+				prefillPacker(b, p, len(order))
+				// A small request keeps the shared Allocate/Release
+				// bookkeeping (id slice, rank marking) from drowning
+				// out the interval enumeration under measurement.
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					ids, err := p.Allocate(8, strat)
+					if err != nil {
+						b.Fatal(err)
 					}
-					wall[vi] = float64(b.Elapsed().Nanoseconds()) / float64(b.N)
-					reportMetric(b, "ns_per_alloc", wall[vi])
-					if vi == 1 && wall[1] > 0 {
-						reportMetric(b, "speedup_word_vs_naive", wall[1]/wall[0])
-					}
-				})
-			}
+					p.Release(ids)
+				}
+				reportMetric(b, "ns_per_alloc", float64(b.Elapsed().Nanoseconds())/float64(b.N))
+			})
 		}
 	}
 }

@@ -60,11 +60,9 @@ func main() {
 		stream    = flag.Bool("stream", false, "stream per-job records as NDJSON to stdout (summary goes to stderr); records are not retained")
 		arrival   = flag.String("arrival", "", "open-system arrival process: poisson:MEANSEC or bursty:MEANSEC,ONSEC,OFFSEC (empty = closed trace replay)")
 		duration  = flag.Float64("duration", 0, "open-system horizon in trace seconds (0 = run until the -jobs cap)")
-		allocWk   = flag.Int("alloc-workers", 0, "goroutines scoring allocation candidates (mc, mc1x1, genalg); results are bit-identical at any value")
 		mtbf      = flag.String("mtbf", "", "per-node mean time between failures: MEANSEC, exp:MEANSEC or weibull:MEANSEC,SHAPE (trace seconds; empty = no failures)")
 		mttr      = flag.String("mttr", "", "per-node mean time to repair, same forms as -mtbf (empty with -mtbf = permanent failures)")
 		retrySpec = flag.String("retry", "", "retry policy for killed jobs: none, immediate[:MAXATTEMPTS] or backoff:BASESEC,CAPSEC[,MAXATTEMPTS] (empty = immediate, unlimited)")
-		rebuild   = flag.Bool("rebuild-sched", false, "rebuild scheduler state from scratch every round (reference path; slower, bit-identical)")
 		ckptPath  = flag.String("checkpoint", "", "write a resumable checkpoint to this file every -checkpoint-every events (atomic replace)")
 		ckptEvery = flag.Int64("checkpoint-every", 0, "events between checkpoints (requires -checkpoint)")
 		resume    = flag.String("resume", "", "resume from a -checkpoint file; pass the same configuration flags as the original run")
@@ -110,17 +108,15 @@ func main() {
 	}
 
 	cfg := sim.Config{
-		Dims:         dims,
-		Torus:        *torus,
-		Alloc:        *allocSpec,
-		Pattern:      *pattern,
-		Load:         *load,
-		TimeScale:    *timeScale,
-		Seed:         *seed,
-		Scheduler:    *scheduler,
-		AllocWorkers: *allocWk,
-		RebuildSched: *rebuild,
-		AuditEvery:   *auditEv,
+		Dims:       dims,
+		Torus:      *torus,
+		Alloc:      *allocSpec,
+		Pattern:    *pattern,
+		Load:       *load,
+		TimeScale:  *timeScale,
+		Seed:       *seed,
+		Scheduler:  *scheduler,
+		AuditEvery: *auditEv,
 	}
 	if *issue == "sequential" {
 		cfg.Issue = sim.IssueSequential

@@ -419,30 +419,25 @@ func (t *tracker) check(size int) error {
 // single processor. On n-D machines the shells are box surfaces instead
 // of rings; the scoring rule is unchanged.
 //
-// By default the candidate loop never touches the shells: every
-// Allocate scores every free candidate from scratch against an
-// incremental occupancy index (see internal/occupancy), which answers
+// The candidate loop never touches the shells: every Allocate scores
+// every free candidate from scratch against an incremental occupancy
+// index (see internal/occupancy), which answers
 // "free processors within shell k" from one box count. Each candidate
 // centers its base box once (topo.Grid.ShellBase) and then pays one
 // clip per axis per shell (topo.Grid.ShellBounds); the per-shell weights
 // are summed arithmetically, and a monotone lower bound prunes
 // candidates that cannot undercut the incumbent. Only the single
 // winning center performs a real shell walk to materialize ids, so the
-// selection is bit-identical to the reference scorer by construction —
+// selection is bit-identical to gathering shells for every candidate —
 // the same shells, the same truncation, the same first-strictly-better
 // tie-breaking in row-major center order — at a fraction of the work.
 type MC struct {
 	tracker
 	oneByOne bool
-	// gatherBuf and bestBuf are persistent candidate scratch: gather fills
-	// gatherBuf, and when a candidate wins the two swap (reference
-	// scorer) or the single winning gather lands there (indexed scorer),
-	// so the steady state allocates only the returned slice.
+	// gatherBuf is persistent candidate scratch: the single winning
+	// gather lands there, so the steady state allocates only the
+	// returned slice.
 	gatherBuf []int
-	bestBuf   []int
-	// workers belongs to the opt-in parallel candidate scan (see
-	// parallel.go); workers <= 1 (the default) keeps the sequential loop.
-	workers int
 }
 
 // NewMC returns the shape-aware MC allocator.
@@ -460,17 +455,6 @@ func NewMC1x1(g *topo.Grid) *MC {
 	return a
 }
 
-// NewMCNaive returns the reference MC scorer: the pre-index
-// implementation that gathers shells for every candidate. It is
-// retained as the ground truth the indexed scorer is fuzzed against,
-// and as the baseline for the allocator benchmarks.
-func NewMCNaive(g *topo.Grid) *MC { return &MC{tracker: newTracker(g)} }
-
-// NewMC1x1Naive returns the reference MC1x1 scorer; see NewMCNaive.
-func NewMC1x1Naive(g *topo.Grid) *MC {
-	return &MC{tracker: newTracker(g), oneByOne: true}
-}
-
 // Name implements Allocator.
 func (a *MC) Name() string {
 	if a.oneByOne {
@@ -484,22 +468,13 @@ func (a *MC) Allocate(req Request) ([]int, error) {
 	if err := a.check(req.Size); err != nil {
 		return nil, err
 	}
-	var ext topo.Point
-	for i := range ext {
-		ext[i] = 1
-	}
-	if !a.oneByOne {
-		ext = req.ShapeExt(a.g.ND())
-	}
-	if a.boxes == nil {
-		return a.allocateNaive(ext, req.Size)
-	}
-	win := a.scan(ext, req.Size)
-	if win.cost == -1 {
+	ext := a.extent(req)
+	cost, center := a.scan(ext, req.Size)
+	if center == -1 {
 		return nil, ErrInsufficient
 	}
-	cost, ok := a.gather(a.g.Coord(win.center), ext, req.Size)
-	if !ok || cost != win.cost {
+	walked, ok := a.gather(a.g.Coord(center), ext, req.Size)
+	if !ok || walked != cost {
 		panic("alloc: occupancy index diverged from the shell walk")
 	}
 	best := append([]int(nil), a.gatherBuf...)
@@ -507,46 +482,34 @@ func (a *MC) Allocate(req Request) ([]int, error) {
 	return best, nil
 }
 
-// allocateNaive is the reference scoring loop: gather shells for every
-// free candidate and keep the first strictly-better one.
-func (a *MC) allocateNaive(ext topo.Point, size int) ([]int, error) {
-	bestCost := -1
+// extent returns the shell-0 box of a request: the request's shape, or
+// a single processor for MC1x1.
+func (a *MC) extent(req Request) topo.Point {
+	if !a.oneByOne {
+		return req.ShapeExt(a.g.ND())
+	}
+	var ext topo.Point
+	for i := range ext {
+		ext[i] = 1
+	}
+	return ext
+}
+
+// scan scores every free center in row-major order and returns the
+// first strictly cheapest one, or cost/center -1 when none can hold the
+// request. The running best is the prune incumbent.
+func (a *MC) scan(ext topo.Point, size int) (bestCost, bestCenter int) {
+	bestCost, bestCenter = -1, -1
 	for center := 0; center < a.g.Size(); center++ {
 		if a.busy[center] {
 			continue
 		}
-		cost, ok := a.gather(a.g.Coord(center), ext, size)
-		if !ok {
-			continue
-		}
-		if bestCost == -1 || cost < bestCost {
-			bestCost = cost
-			a.bestBuf, a.gatherBuf = a.gatherBuf, a.bestBuf
+		cost, ok := a.countCost(a.g.Coord(center), ext, size, bestCost)
+		if ok && (bestCost == -1 || cost < bestCost) {
+			bestCost, bestCenter = cost, center
 		}
 	}
-	if bestCost == -1 {
-		return nil, ErrInsufficient
-	}
-	best := append([]int(nil), a.bestBuf...)
-	a.take(best)
-	return best, nil
-}
-
-// scanRange scores the free centers in [lo, hi) in row-major order and
-// returns the first strictly cheapest one, or cost/center -1 when the
-// range holds no candidate. The running best is the prune incumbent.
-func (a *MC) scanRange(ext topo.Point, size, lo, hi int) chunkBest {
-	best := chunkBest{cost: -1, center: -1}
-	for center := lo; center < hi; center++ {
-		if a.busy[center] {
-			continue
-		}
-		cost, ok := a.countCost(a.g.Coord(center), ext, size, best.cost)
-		if ok && (best.cost == -1 || cost < best.cost) {
-			best = chunkBest{cost: cost, center: center}
-		}
-	}
-	return best
+	return bestCost, bestCenter
 }
 
 // countCost computes the exact shell-weight cost of a candidate from
@@ -562,7 +525,12 @@ func (a *MC) countCost(c, ext topo.Point, size, incumbent int) (cost int, ok boo
 	baseLo, baseHi := a.g.ShellBase(c, ext)
 	prev := 0
 	for k, maxK := 0, a.g.MaxShells(); k <= maxK; k++ {
-		cur := a.boxes.FreeIn(a.g.ShellBounds(baseLo, baseHi, k))
+		// Boxes.FreeIn spelled out: going through it copies both box
+		// corners through the stack once more per shell, which makes
+		// this loop ~10% slower whenever the caller's frames leave the
+		// stack off 16-byte alignment.
+		lo, hi := a.g.ShellBounds(baseLo, baseHi, k)
+		cur := topo.BoxVolume(lo, hi) - a.boxes.BusyIn(lo, hi)
 		if cur >= size {
 			return cost + k*(size-prev), true
 		}
@@ -620,28 +588,21 @@ func (a *MC) gather(center, ext topo.Point, size int) (int, bool) {
 type GenAlg struct {
 	tracker
 	// Persistent candidate scratch, as in MC: nearest fills nearBuf and
-	// the buffers swap when a candidate wins.
+	// the buffers swap when a candidate wins on the reference path.
 	nearBuf []int
 	bestBuf []int
 	ringBuf []int
 	axisBuf [topo.MaxDims][]int
-	// scratch is the indexed-scoring workspace of the sequential
-	// candidate loop; parallel scoring workers own private copies (see
-	// parallel.go) so the loop can shard without sharing mutable state.
 	scratch genScratch
 	maxR    int
-	// workers and parScratch belong to the opt-in parallel candidate
-	// scan; workers <= 1 (the default) keeps the sequential loop.
-	workers    int
-	parScratch []genScratch
 }
 
-// genScratch is one candidate-scoring workspace for the indexed Gen-Alg
+// genScratch is the candidate-scoring workspace of the indexed Gen-Alg
 // loop: per-axis member marginals, and the previous candidate's ball
 // radius seeding the next radius search (neighboring centers rarely
 // differ by much). The radius hint only steers where ballCutoff starts
 // searching — the cutoff it returns is a pure function of the machine
-// state — so scoring through any scratch yields identical costs.
+// state — so scores do not depend on it.
 type genScratch struct {
 	marg   [topo.MaxDims][]int
 	radius int
@@ -664,12 +625,8 @@ func NewGenAlg(g *topo.Grid) *GenAlg {
 	return a
 }
 
-// NewGenAlgNaive returns the reference Gen-Alg scorer: the pre-index
-// implementation that gathers rings for every candidate. It is retained
-// as the ground truth the indexed scorer is fuzzed against, and as the
-// baseline for the allocator benchmarks.
-func NewGenAlgNaive(g *topo.Grid) *GenAlg { return newGenAlg(g) }
-
+// newGenAlg returns a Gen-Alg allocator without the ball index: every
+// Allocate takes the gathering reference path.
 func newGenAlg(g *topo.Grid) *GenAlg {
 	a := &GenAlg{tracker: newTracker(g), scratch: newGenScratch(g)}
 	for i := 0; i < g.ND(); i++ {
@@ -690,18 +647,14 @@ func (a *GenAlg) Allocate(req Request) ([]int, error) {
 		return a.allocateNaive(req.Size)
 	}
 	bestDist, bestCenter := -1, -1
-	if a.workers > 1 {
-		bestDist, bestCenter = a.scanParallel(req.Size)
-	} else {
-		a.scratch.radius = 0
-		for center := 0; center < a.g.Size(); center++ {
-			if a.busy[center] {
-				continue
-			}
-			d := a.countPairwise(&a.scratch, center, req.Size)
-			if bestDist == -1 || d < bestDist {
-				bestDist, bestCenter = d, center
-			}
+	a.scratch.radius = 0
+	for center := 0; center < a.g.Size(); center++ {
+		if a.busy[center] {
+			continue
+		}
+		d := a.countPairwise(center, req.Size)
+		if bestDist == -1 || d < bestDist {
+			bestDist, bestCenter = d, center
 		}
 	}
 	if bestCenter == -1 {
@@ -739,10 +692,9 @@ func (a *GenAlg) allocateNaive(size int) ([]int, error) {
 // countPairwise computes the exact total pairwise distance of the set
 // nearest(center, k) would gather, without gathering it: the ball
 // radius from the index, interior per-axis marginals from slice counts,
-// and only the boundary ring walked for the row-major tail. All mutable
-// state lives in s, so concurrent callers with distinct scratches score
-// disjoint candidates safely (the index and busy bitmap are only read).
-func (a *GenAlg) countPairwise(s *genScratch, center, k int) int {
+// and only the boundary ring walked for the row-major tail.
+func (a *GenAlg) countPairwise(center, k int) int {
+	s := &a.scratch
 	c := a.g.Coord(center)
 	r, inner := a.ballCutoff(c, k, s.radius)
 	s.radius = r

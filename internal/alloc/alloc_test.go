@@ -148,7 +148,7 @@ func TestPagingFreeListOnEmptyMeshIsCurvePrefix(t *testing.T) {
 		}
 	}
 	// A Hilbert prefix of 16 on an empty mesh is a contiguous quadrant.
-	if !m.Contiguous(ids) {
+	if !m.Grid().Contiguous(ids) {
 		t.Error("hilbert prefix should be contiguous")
 	}
 }
@@ -161,7 +161,7 @@ func TestMCAllocatesRequestedShapeOnEmptyMesh(t *testing.T) {
 		t.Fatal(err)
 	}
 	// On an empty mesh the best candidate is a full 3x2 submesh: cost 0.
-	if !m.Contiguous(ids) {
+	if !m.Grid().Contiguous(ids) {
 		t.Errorf("MC shape allocation not contiguous: %v", ids)
 	}
 	xs, ys := bounds(m, ids)
@@ -179,7 +179,7 @@ func TestMC1x1CompactOnEmptyMesh(t *testing.T) {
 	}
 	// 1x1 shell 0 plus first shell (8 nodes) covers 5: all within
 	// distance 2 of the center, and contiguous on an empty mesh.
-	if !m.Contiguous(ids) {
+	if !m.Grid().Contiguous(ids) {
 		t.Errorf("MC1x1 allocation not contiguous: %v", ids)
 	}
 	if d := m.AvgPairwiseDist(ids); d > 2.0 {
@@ -197,14 +197,14 @@ func TestGenAlgPicksCompactSet(t *testing.T) {
 	// Gen-Alg is a (2-2/k)-approximation of the optimum; the optimal 9-set
 	// is a 3x3 block with total pairwise distance 72. The heuristic's
 	// center-plus-nearest sets come close but need not be optimal.
-	got := m.TotalPairwiseDist(ids)
+	got := m.Grid().TotalPairwiseDist(ids)
 	if got < 72 {
 		t.Errorf("Gen-Alg total pairwise distance %d beats the proven optimum 72", got)
 	}
 	if limit := int((2 - 2.0/9.0) * 72); got > limit {
 		t.Errorf("Gen-Alg total pairwise distance = %d, want <= approximation bound %d", got, limit)
 	}
-	if !m.Contiguous(ids) {
+	if !m.Grid().Contiguous(ids) {
 		t.Errorf("Gen-Alg allocation on an empty mesh should be contiguous: %v", ids)
 	}
 }
@@ -342,7 +342,7 @@ func TestTotalPairwiseL1MatchesMesh(t *testing.T) {
 				ids = append(ids, i)
 			}
 		}
-		return totalPairwiseL1(m.Grid(), ids) == m.TotalPairwiseDist(ids)
+		return totalPairwiseL1(m.Grid(), ids) == m.Grid().TotalPairwiseDist(ids)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)

@@ -4,8 +4,7 @@ package alloc
 // regularly sees several jobs arrive at the same timestamp (bursty
 // sources, trace replays with second-resolution arrival stamps); serving
 // them in one call lets the caller plan the whole burst from one
-// free-count read. Composes with the sharded candidate scan: each
-// allocation in the batch still fans out over SetParallelism workers.
+// free-count read.
 
 // BatchAllocator is implemented by allocators that serve several requests
 // in one call. AllocateBatch(reqs) is defined to be exactly equivalent to

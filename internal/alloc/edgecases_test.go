@@ -163,39 +163,32 @@ func TestPagedClippedPagesFullMachine(t *testing.T) {
 	}
 }
 
-// TestSubmeshWordScanMatchesNaive churns the word-parallel free-box
-// search against the cell-by-cell reference on meshes around and past
-// the 64-bit word boundary: identical anchors, errors, and free counts
-// at every step.
+// TestSubmeshWordScanMatchesNaive churns a submesh allocator on meshes
+// around and past the 64-bit word boundary and, before every request,
+// compares the word-parallel free-box search with the cell-by-cell
+// reference for every candidate shape: identical anchors, or nil from
+// both.
 func TestSubmeshWordScanMatchesNaive(t *testing.T) {
 	for _, dims := range [][2]int{{5, 9}, {8, 8}, {16, 22}, {33, 7}, {70, 3}} {
-		word := NewSubmeshFirstFit(mesh.New(dims[0], dims[1]))
-		ref := NewSubmeshFirstFit(mesh.New(dims[0], dims[1]))
-		ref.SetWordScan(false)
+		a := NewSubmeshFirstFit(mesh.New(dims[0], dims[1]))
 		x := xorshift(uint64(dims[0]*100+dims[1]) | 1)
 		var live [][]int
 		for step := 0; step < 80; step++ {
-			if word.NumFree() != ref.NumFree() {
-				t.Fatalf("%v step %d: NumFree %d vs %d", dims, step, word.NumFree(), ref.NumFree())
-			}
-			if word.NumFree() > 0 && (len(live) == 0 || x.intn(3) != 0) {
-				size := 1 + x.intn(min(word.NumFree(), 14))
-				got, err1 := word.Allocate(Request{Size: size})
-				want, err2 := ref.Allocate(Request{Size: size})
-				if (err1 == nil) != (err2 == nil) {
-					t.Fatalf("%v step %d size %d: error mismatch %v vs %v", dims, step, size, err1, err2)
+			if a.NumFree() > 0 && (len(live) == 0 || x.intn(3) != 0) {
+				req := Request{Size: 1 + x.intn(min(a.NumFree(), 14))}
+				for _, s := range a.candidateShapes(req) {
+					got := a.findFree(s[0], s[1], req.Size)
+					want := findFreeRef(a, s[0], s[1], req.Size)
+					if !sameIDs(got, want) {
+						t.Fatalf("%v step %d shape %v: word anchors %v, reference %v", dims, step, s, got, want)
+					}
 				}
-				if err1 != nil {
-					continue
+				if ids, err := a.Allocate(req); err == nil {
+					live = append(live, ids)
 				}
-				if !sameIDs(got, want) {
-					t.Fatalf("%v step %d size %d: word anchors %v, reference %v", dims, step, size, got, want)
-				}
-				live = append(live, got)
 			} else if len(live) > 0 {
 				i := x.intn(len(live))
-				word.Release(live[i])
-				ref.Release(live[i])
+				a.Release(live[i])
 				live = append(live[:i], live[i+1:]...)
 			}
 		}

@@ -7,7 +7,8 @@ import (
 )
 
 // Equivalence tests pinning the indexed (count-don't-gather) MC and
-// Gen-Alg scorers to the retained naive reference scorers: same
+// Gen-Alg scorers to the gathering reference scorers (mcRef, and a
+// Gen-Alg built by newGenAlg without its ball index): same
 // winner, same cost, same ids, on random busy patterns over random 2-D
 // and 3-D grids, plus small 4-D grids for the MC family (the
 // dimensionality whose box index is the Fenwick tree). The indexed paths must be bit-identical — candidate
@@ -62,15 +63,14 @@ func equivPair(g *topo.Grid, pattern uint64, density int,
 	}
 	switch a := indexed.(type) {
 	case *MC:
-		n := NewMCNaive(g)
-		n.oneByOne = a.oneByOne
+		n := newMCRef(g, a.oneByOne)
 		naive = n
 		if len(busy) > 0 {
 			a.take(busy)
 			n.take(busy)
 		}
 	case *GenAlg:
-		n := NewGenAlgNaive(g)
+		n := newGenAlg(g)
 		naive = n
 		if len(busy) > 0 {
 			a.take(busy)
@@ -239,7 +239,7 @@ func TestCountPairwiseMatchesGather(t *testing.T) {
 			if ga.busy[center] {
 				continue
 			}
-			counted := ga.countPairwise(&ga.scratch, center, k)
+			counted := ga.countPairwise(center, k)
 			ref.nearest(center, k)
 			walked := ref.totalPairwise(ref.nearBuf)
 			if counted != walked {

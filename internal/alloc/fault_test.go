@@ -84,53 +84,53 @@ func TestMarkDownExcludesNodes(t *testing.T) {
 
 // TestSubmeshMaskMatchesBusy pins the submesh row-bit masking to the
 // tracker semantics: marking nodes down must yield bit-identical
-// placements to an allocator where the same nodes are busy, on both
-// the word-parallel and reference scan paths.
+// placements to an allocator where the same nodes are busy, and the
+// word-parallel anchor search over the masked rows must agree with the
+// cell-by-cell reference.
 func TestSubmeshMaskMatchesBusy(t *testing.T) {
-	for _, wordScan := range []bool{true, false} {
-		x := xorshift(97)
-		for trial := 0; trial < 20; trial++ {
-			m := mesh.New(3+x.intn(10), 3+x.intn(10))
-			masked := NewSubmeshFirstFit(m)
-			busy := NewSubmeshFirstFit(m)
-			masked.SetWordScan(wordScan)
-			busy.SetWordScan(wordScan)
-			var down []int
-			for id := 0; id < m.Grid().Size(); id++ {
-				if x.intn(8) == 0 {
-					down = append(down, id)
+	x := xorshift(97)
+	for trial := 0; trial < 20; trial++ {
+		m := mesh.New(3+x.intn(10), 3+x.intn(10))
+		masked := NewSubmeshFirstFit(m)
+		busy := NewSubmeshFirstFit(m)
+		var down []int
+		for id := 0; id < m.Grid().Size(); id++ {
+			if x.intn(8) == 0 {
+				down = append(down, id)
+			}
+		}
+		for _, id := range down {
+			masked.MarkDown(id)
+		}
+		if len(down) > 0 {
+			busy.take(down)
+		}
+		for step := 0; step < 30; step++ {
+			req := Request{Size: 1 + x.intn(m.Grid().Size()/2)}
+			for _, s := range masked.candidateShapes(req) {
+				if got, want := masked.findFree(s[0], s[1], req.Size), findFreeRef(masked, s[0], s[1], req.Size); !sameIDs(got, want) {
+					t.Fatalf("trial %d step %d shape %v: word anchors %v, reference %v", trial, step, s, got, want)
 				}
 			}
-			for _, id := range down {
-				masked.MarkDown(id)
+			got, err1 := masked.Allocate(req)
+			want, err2 := busy.Allocate(req)
+			if (err1 == nil) != (err2 == nil) {
+				t.Fatalf("trial %d step %d: error mismatch %v vs %v", trial, step, err1, err2)
 			}
-			if len(down) > 0 {
-				busy.take(down)
+			if err1 != nil {
+				continue
 			}
-			for step := 0; step < 30; step++ {
-				size := 1 + x.intn(m.Grid().Size()/2)
-				got, err1 := masked.Allocate(Request{Size: size})
-				want, err2 := busy.Allocate(Request{Size: size})
-				if (err1 == nil) != (err2 == nil) {
-					t.Fatalf("wordScan=%v trial %d step %d: error mismatch %v vs %v",
-						wordScan, trial, step, err1, err2)
-				}
-				if err1 != nil {
-					continue
-				}
-				if !sameIDs(got, want) {
-					t.Fatalf("wordScan=%v trial %d step %d: ids %v vs %v",
-						wordScan, trial, step, got, want)
-				}
-				masked.Release(got)
-				busy.Release(want)
+			if !sameIDs(got, want) {
+				t.Fatalf("trial %d step %d: ids %v vs %v", trial, step, got, want)
 			}
-			for _, id := range down {
-				masked.MarkUp(id)
-			}
-			if masked.NumFree() != m.Grid().Size() {
-				t.Fatalf("submesh NumFree after repair = %d", masked.NumFree())
-			}
+			masked.Release(got)
+			busy.Release(want)
+		}
+		for _, id := range down {
+			masked.MarkUp(id)
+		}
+		if masked.NumFree() != m.Grid().Size() {
+			t.Fatalf("submesh NumFree after repair = %d", masked.NumFree())
 		}
 	}
 }
@@ -145,8 +145,7 @@ func TestMCMaskChurnMatchesNaive(t *testing.T) {
 			g := equivGrid(x.next())
 			indexed := NewMC(g)
 			indexed.oneByOne = oneByOne
-			naive := NewMCNaive(g)
-			naive.oneByOne = oneByOne
+			naive := newMCRef(g, oneByOne)
 			size := 1 + x.intn(6)
 			var live [][]int
 			downSet := map[int]bool{}

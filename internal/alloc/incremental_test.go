@@ -50,8 +50,7 @@ func TestIncrementalMCMatchesNaiveSteady(t *testing.T) {
 			g := equivGrid(x.next())
 			indexed := NewMC(g)
 			indexed.oneByOne = oneByOne
-			naive := NewMCNaive(g)
-			naive.oneByOne = oneByOne
+			naive := newMCRef(g, oneByOne)
 			size := 1 + x.intn(9)
 			churnSteady(t, name, indexed, naive, x.next(), size, 30)
 		}
@@ -68,8 +67,7 @@ func FuzzIncrementalMC(f *testing.F) {
 		g := equivGrid(seed)
 		indexed := NewMC(g)
 		indexed.oneByOne = oneByOne
-		naive := NewMCNaive(g)
-		naive.oneByOne = oneByOne
+		naive := newMCRef(g, oneByOne)
 		x := xorshift(seed ^ 0xabcdef | 1)
 		var busy []int
 		for id := 0; id < g.Size(); id++ {
@@ -101,8 +99,7 @@ func TestMCOccupyMatchesNaive(t *testing.T) {
 			}
 			indexed := NewMC(g)
 			indexed.oneByOne = oneByOne
-			naive := NewMCNaive(g)
-			naive.oneByOne = oneByOne
+			naive := newMCRef(g, oneByOne)
 			var occ Occupier = indexed
 			var ids []int
 			for id := 0; id < g.Size(); id++ {

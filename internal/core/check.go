@@ -22,9 +22,14 @@ type CheckResult struct {
 // Check runs a scaled version of the paper's experiments and tests the
 // headline claims programmatically — the executable form of
 // EXPERIMENTS.md. Each claim is judged on the *shape* of the results
-// (orderings and correlations), never absolute seconds.
+// (orderings and correlations), never absolute seconds. The scorecard
+// runs one replication on o.Seed; Replications > 1 is rejected with an
+// error before any simulation runs rather than silently ignored.
 func Check(o Options) ([]CheckResult, error) {
 	o = o.withDefaults()
+	if o.Replications > 1 {
+		return nil, fmt.Errorf("core: the reproduction scorecard runs a single replication; Replications = %d is not supported", o.Replications)
+	}
 	var out []CheckResult
 
 	// Run the 16x16 grid once at the heaviest load; most claims read

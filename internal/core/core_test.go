@@ -257,6 +257,18 @@ func TestCheckScorecard(t *testing.T) {
 	}
 }
 
+// TestCheckRejectsReplications: the scorecard runs one replication, so
+// asking for more is an error, not a silently single-seed card.
+func TestCheckRejectsReplications(t *testing.T) {
+	_, err := Check(Options{Jobs: 50, TimeScale: 0.01, Replications: 3})
+	if err == nil || !strings.Contains(err.Error(), "Replications = 3") {
+		t.Fatalf("Check with 3 replications: err %v, want a replication error", err)
+	}
+	if _, err := Check(Options{Jobs: 50, TimeScale: 0.01, Replications: 1}); err != nil {
+		t.Fatalf("Check with 1 replication: %v", err)
+	}
+}
+
 func TestWriteCSV(t *testing.T) {
 	fig := &Figure{
 		ID: "t", Title: "test",

@@ -5,9 +5,10 @@ import (
 	"sort"
 
 	"meshalloc/internal/alloc"
-	"meshalloc/internal/cube"
 	"meshalloc/internal/netsim"
 	"meshalloc/internal/sim"
+	"meshalloc/internal/stats"
+	"meshalloc/internal/topo"
 )
 
 // Extension experiments beyond the paper's figures: the studies its
@@ -211,16 +212,18 @@ func ExtMixed(o Options) (*Figure, error) {
 // reference describes.
 func ExtCube(o Options) (*Figure, error) {
 	o = o.withDefaults()
-	m := cube.New3(8, 8, 8)
 	jobs := o.Jobs / 10
 	if jobs < 50 {
 		jobs = 50
 	}
-	results := cube.Study(m, jobs, 4, 48, o.Seed)
+	results, err := cubeStudy(topo.New([]int{8, 8, 8}), jobs, 4, 48, o.Seed)
+	if err != nil {
+		return nil, err
+	}
 	t := Table{Columns: []string{"Strategy", "mean avg pairwise distance", "allocations"}}
 	for _, r := range results {
 		t.Rows = append(t.Rows, []string{
-			r.Name, fmt.Sprintf("%.3f", r.MeanAvgPairwise), fmt.Sprintf("%d", r.Allocations),
+			r.name, fmt.Sprintf("%.3f", r.meanAvgPairwise), fmt.Sprintf("%d", r.allocations),
 		})
 	}
 	return &Figure{
@@ -232,6 +235,139 @@ func ExtCube(o Options) (*Figure, error) {
 			"the 2-D conclusion carries over: curve choice dominates allocation compactness",
 		},
 	}, nil
+}
+
+// studyResult is the mean allocation quality of one strategy over the
+// cube study's churn workload.
+type studyResult struct {
+	name            string
+	meanAvgPairwise float64
+	allocations     int
+}
+
+// studyAllocator is what the cube study needs of a strategy.
+type studyAllocator interface {
+	Allocate(alloc.Request) ([]int, error)
+	Release(ids []int)
+}
+
+// cubeStudy drives an allocate/release churn of jobs (uniform sizes in
+// [minSize, maxSize]) through each strategy on an otherwise identical
+// sequence and reports mean average pairwise distance — the 3-D version
+// of the paper's allocation-quality comparison, without the network.
+// hilbert3 and snake3 are Paging with a sorted free list along the n-D
+// Hilbert and snake curves; ring3 grows Manhattan rings (see ringAlloc).
+// The full contention simulation on the same machine is ext-cube3d.
+func cubeStudy(g *topo.Grid, jobs, minSize, maxSize int, seed int64) ([]studyResult, error) {
+	hilbert, err := alloc.Spec(g, "hilbert", seed)
+	if err != nil {
+		return nil, err
+	}
+	snake, err := alloc.Spec(g, "scurve", seed)
+	if err != nil {
+		return nil, err
+	}
+	strategies := []struct {
+		name string
+		a    studyAllocator
+	}{
+		{"hilbert3", hilbert},
+		{"snake3", snake},
+		{"ring3", newRingAlloc(g)},
+	}
+	out := make([]studyResult, len(strategies))
+	for i, s := range strategies {
+		rng := stats.NewRNG(seed) // identical sequence per strategy
+		var live [][]int
+		total, count := 0.0, 0
+		for j := 0; j < jobs; j++ {
+			// Churn: release one random live job half the time.
+			if len(live) > 0 && rng.Float64() < 0.5 {
+				k := rng.Intn(len(live))
+				s.a.Release(live[k])
+				live = append(live[:k], live[k+1:]...)
+			}
+			size := minSize + rng.Intn(maxSize-minSize+1)
+			ids, err := s.a.Allocate(alloc.Request{Size: size})
+			if err != nil {
+				continue // machine full; skip, same for every strategy
+			}
+			live = append(live, ids)
+			total += g.AvgPairwiseDist(ids)
+			count++
+		}
+		out[i] = studyResult{name: s.name, meanAvgPairwise: total / float64(count), allocations: count}
+	}
+	return out, nil
+}
+
+// ringAlloc is the cube study's MC1x1 analogue: every free center
+// gathers the request in Manhattan rings (row-major within a ring), a
+// candidate costs the sum of its members' ring radii, and the first
+// cheapest center wins.
+type ringAlloc struct {
+	g               *topo.Grid
+	busy            []bool
+	free            int
+	ring, ids, best []int
+}
+
+func newRingAlloc(g *topo.Grid) *ringAlloc {
+	return &ringAlloc{g: g, busy: make([]bool, g.Size()), free: g.Size()}
+}
+
+// Allocate marks and returns the winning center's gathered set.
+func (a *ringAlloc) Allocate(req alloc.Request) ([]int, error) {
+	if req.Size <= 0 || req.Size > a.free {
+		return nil, fmt.Errorf("core: cannot allocate %d processors with %d free", req.Size, a.free)
+	}
+	bestCost := -1
+	for c := 0; c < a.g.Size(); c++ {
+		if a.busy[c] {
+			continue
+		}
+		if cost := a.gather(c, req.Size); bestCost == -1 || cost < bestCost {
+			bestCost = cost
+			a.best = append(a.best[:0], a.ids...)
+		}
+	}
+	for _, id := range a.best {
+		a.busy[id] = true
+	}
+	a.free -= req.Size
+	return append([]int(nil), a.best...), nil
+}
+
+// gather fills a.ids with the size free processors nearest center and
+// returns their summed ring radii. The caller guarantees size <= free.
+func (a *ringAlloc) gather(center, size int) int {
+	c := a.g.Coord(center)
+	a.ids = a.ids[:0]
+	cost := 0
+	for r := 0; len(a.ids) < size; r++ {
+		a.ring = a.g.AppendRing(a.ring[:0], c, r)
+		for _, id := range a.ring {
+			if !a.busy[id] {
+				a.ids = append(a.ids, id)
+				cost += r
+				if len(a.ids) == size {
+					break
+				}
+			}
+		}
+	}
+	return cost
+}
+
+// Release frees previously allocated processors.
+func (a *ringAlloc) Release(ids []int) {
+	for _, id := range ids {
+		if !a.busy[id] {
+			panic(fmt.Sprintf("core: release of free id %d", id))
+		}
+		a.busy[id] = false
+	}
+	a.free += len(ids)
 }
 
 // cube3DNative and cube3DProjected are the allocator fields of the

@@ -1,15 +1,15 @@
 // Package mesh is the 2-D facade over the dimension-generic topology
-// core in internal/topo: node coordinates, the Manhattan metric, x-y
-// dimension-ordered routing, directed links, submeshes, the "shells"
-// used by the MC allocator, and rectilinear connectivity (components) of
-// processor sets, all specialized to the Width x Height meshes the
-// paper's experiments run on.
+// core in internal/topo: node coordinates, the Manhattan metric, the four
+// named link directions, neighbors, submeshes and rectilinear
+// connectivity (components) of processor sets, specialized to the
+// Width x Height meshes the paper's experiments run on.
 //
 // Everything geometric delegates to topo.Grid — the mesh keeps only the
 // 2-D vocabulary (Point with X/Y fields, Submesh, the four named link
-// directions) plus the inlining-sensitive id arithmetic. Callers that
-// need n-dimensional machines use topo.Grid directly; Grid exposes the
-// underlying grid of a mesh so 2-D and n-D code interoperate.
+// directions) plus the inlining-sensitive id arithmetic. Routing, link
+// indexing, MC shells and pairwise distances live on topo.Grid alone;
+// Grid exposes the underlying grid of a mesh so 2-D and n-D code
+// interoperate.
 //
 // Nodes are identified by dense integer ids in row-major order:
 // id = y*Width + x with 0 <= x < Width and 0 <= y < Height.
@@ -43,9 +43,6 @@ func abs(v int) int {
 	}
 	return v
 }
-
-// pt converts a mesh coordinate to a generic grid coordinate.
-func pt(p Point) topo.Point { return topo.Point{p.X, p.Y} }
 
 // Mesh is a Width x Height 2-D mesh of processors, optionally with
 // torus wraparound links. The zero value is not usable; construct with
@@ -151,10 +148,6 @@ func (m *Mesh) axisDist(a, b, extent int) int {
 // the dispersal metric of Mache and Lo that MC1x1 and Gen-Alg minimize.
 func (m *Mesh) AvgPairwiseDist(ids []int) float64 { return m.g.AvgPairwiseDist(ids) }
 
-// TotalPairwiseDist returns the sum of hop distances over all unordered
-// pairs of the given node ids.
-func (m *Mesh) TotalPairwiseDist(ids []int) int { return m.g.TotalPairwiseDist(ids) }
-
 // Direction identifies one of the four mesh link directions. It is the
 // generic topo.Dir restricted to axes x and y.
 type Direction = topo.Dir
@@ -173,49 +166,10 @@ const (
 // full-duplex mesh.
 type Link = topo.Link
 
-// NumLinks returns the number of distinct directed links on the mesh,
-// used to size dense link-state tables.
-func (m *Mesh) NumLinks() int { return m.g.NumLinks() }
-
-// LinkIndex returns a dense index for l suitable for flat link-state
-// arrays; the inverse of LinkAt.
-func (m *Mesh) LinkIndex(l Link) int { return m.g.LinkIndex(l) }
-
-// LinkAt returns the link with the given dense index.
-func (m *Mesh) LinkAt(idx int) Link { return m.g.LinkAt(idx) }
-
 // Neighbor returns the node adjacent to id in direction d and true, or
 // (-1, false) when the link would leave a plain mesh. On a torus every
 // direction wraps, so the second result is always true.
 func (m *Mesh) Neighbor(id int, d Direction) (int, bool) { return m.g.Neighbor(id, d) }
-
-// Route returns the x-y dimension-ordered route from src to dst as the
-// ordered sequence of directed links traversed: first all x hops, then all
-// y hops, exactly as Paragon-/CPlant-style mesh routers forward wormhole
-// packets. An empty slice means src == dst.
-func (m *Mesh) Route(src, dst int) []Link { return m.g.Route(src, dst) }
-
-// RouteYX returns the y-x dimension-ordered route (all y hops first), the
-// alternative deterministic routing used for routing-sensitivity studies.
-func (m *Mesh) RouteYX(src, dst int) []Link {
-	return m.AppendRouteYX(make([]Link, 0, m.Dist(src, dst)), src, dst)
-}
-
-// AppendRoute appends the x-y dimension-ordered route from src to dst to
-// links and returns the extended slice. It is the allocation-free variant
-// of Route for callers that reuse a scratch buffer per message.
-func (m *Mesh) AppendRoute(links []Link, src, dst int) []Link {
-	return m.g.AppendRoute(links, src, dst)
-}
-
-// AppendRouteYX is AppendRoute for y-x dimension-ordered routing.
-func (m *Mesh) AppendRouteYX(links []Link, src, dst int) []Link {
-	return m.g.AppendRouteRev(links, src, dst)
-}
-
-// RouteLen returns the number of links on the x-y route from src to dst,
-// which equals the Manhattan distance.
-func (m *Mesh) RouteLen(src, dst int) int { return m.Dist(src, dst) }
 
 // Submesh describes an axis-aligned rectangle of nodes.
 type Submesh struct {
@@ -251,52 +205,9 @@ func (m *Mesh) AppendNodes(ids []int, s Submesh) []int {
 	return m.g.AppendNodes(ids, box(s))
 }
 
-// CenteredSubmesh returns the W x H submesh "centered" on c in the MC
-// sense: c is placed at the integer center cell (W/2, H/2 from the origin,
-// rounding down).
-func CenteredSubmesh(c Point, w, h int) Submesh {
-	return Submesh{Origin: Point{c.X - w/2, c.Y - h/2}, W: w, H: h}
-}
-
-// Shell returns the ids of the nodes on m in shell k around the W x H
-// submesh centered on c: shell 0 is the submesh itself, shell k>0 is the
-// border ring of the (W+2k) x (H+2k) submesh. This matches the growth rule
-// of Mache et al.'s MC allocator (Figure 4 of the paper).
-func (m *Mesh) Shell(c Point, w, h, k int) []int {
-	return m.g.Shell(pt(c), topo.Point{w, h}, k)
-}
-
-// AppendShell appends the ids of shell k around the W x H submesh centered
-// on c to ids and returns the extended slice. It is the allocation-free
-// variant of Shell: MC-style shell scoring reuses one scratch slice per
-// allocator instead of allocating a fresh ring per candidate.
-func (m *Mesh) AppendShell(ids []int, c Point, w, h, k int) []int {
-	return m.g.AppendShell(ids, pt(c), topo.Point{w, h}, k)
-}
-
-// ShellEach calls fn with the id of every on-mesh node of shell k in
-// row-major order, stopping early when fn returns false. It reports
-// whether the walk ran to completion. It is the index-callback variant of
-// Shell for callers that do not need the ids materialized at all.
-func (m *Mesh) ShellEach(c Point, w, h, k int, fn func(id int) bool) bool {
-	return m.g.ShellEach(pt(c), topo.Point{w, h}, k, fn)
-}
-
-// MaxShells returns an upper bound on the number of shells needed to cover
-// the whole mesh from any center for a W x H base submesh.
-func (m *Mesh) MaxShells(w, h int) int {
-	// Growing by one node per side per shell, max(width, height) shells
-	// always suffice.
-	return m.g.MaxShells()
-}
-
 // Components partitions the given node ids into rectilinearly-connected
 // components: two nodes are connected when they are mesh-adjacent and both
 // in the set. The paper calls a job "allocated contiguously" when this
 // yields a single component. The returned components are each sorted by id
 // and ordered by their smallest id.
 func (m *Mesh) Components(ids []int) [][]int { return m.g.Components(ids) }
-
-// Contiguous reports whether the node set forms a single rectilinear
-// component.
-func (m *Mesh) Contiguous(ids []int) bool { return m.g.Contiguous(ids) }

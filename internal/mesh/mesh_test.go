@@ -3,7 +3,15 @@ package mesh
 import (
 	"testing"
 	"testing/quick"
+
+	"meshalloc/internal/topo"
 )
+
+// shell returns shell k around the w x h submesh centered on c, walked on
+// the grid the mesh wraps.
+func shell(m *Mesh, c Point, w, h, k int) []int {
+	return m.Grid().Shell(topo.XY(c.X, c.Y), topo.Point{w, h}, k)
+}
 
 func TestIDCoordRoundTrip(t *testing.T) {
 	m := New(16, 22)
@@ -46,7 +54,7 @@ func TestManhattan(t *testing.T) {
 
 func TestRouteIsXYOrdered(t *testing.T) {
 	m := New(8, 8)
-	links := m.Route(m.ID(Point{1, 1}), m.ID(Point{5, 3}))
+	links := m.Grid().Route(m.ID(Point{1, 1}), m.ID(Point{5, 3}))
 	if len(links) != 6 {
 		t.Fatalf("route length %d, want 6", len(links))
 	}
@@ -68,7 +76,7 @@ func TestRouteEndsAtDestination(t *testing.T) {
 	f := func(a, b uint8) bool {
 		src := int(a) % m.Size()
 		dst := int(b) % m.Size()
-		links := m.Route(src, dst)
+		links := m.Grid().Route(src, dst)
 		if len(links) != m.Dist(src, dst) {
 			return false
 		}
@@ -92,7 +100,7 @@ func TestRouteEndsAtDestination(t *testing.T) {
 
 func TestRouteYXIsYOrdered(t *testing.T) {
 	m := New(8, 8)
-	links := m.RouteYX(m.ID(Point{1, 1}), m.ID(Point{5, 3}))
+	links := m.Grid().AppendRouteRev(nil, m.ID(Point{1, 1}), m.ID(Point{5, 3}))
 	if len(links) != 6 {
 		t.Fatalf("route length %d, want 6", len(links))
 	}
@@ -123,15 +131,15 @@ func TestRouteYXIsYOrdered(t *testing.T) {
 
 func TestRouteSelfIsEmpty(t *testing.T) {
 	m := New(4, 4)
-	if links := m.Route(5, 5); len(links) != 0 {
+	if links := m.Grid().Route(5, 5); len(links) != 0 {
 		t.Fatalf("self route has %d links, want 0", len(links))
 	}
 }
 
 func TestLinkIndexRoundTrip(t *testing.T) {
 	m := New(6, 9)
-	for idx := 0; idx < m.NumLinks(); idx++ {
-		if got := m.LinkIndex(m.LinkAt(idx)); got != idx {
+	for idx := 0; idx < m.Grid().NumLinks(); idx++ {
+		if got := m.Grid().LinkIndex(m.Grid().LinkAt(idx)); got != idx {
 			t.Fatalf("LinkIndex(LinkAt(%d)) = %d", idx, got)
 		}
 	}
@@ -166,7 +174,7 @@ func TestAvgPairwiseDist(t *testing.T) {
 	if m.AvgPairwiseDist([]int{3}) != 0 {
 		t.Fatal("singleton should have zero avg distance")
 	}
-	if m.TotalPairwiseDist([]int{0, 1, 4, 5}) != 8 {
+	if m.Grid().TotalPairwiseDist([]int{0, 1, 4, 5}) != 8 {
 		t.Fatal("TotalPairwiseDist mismatch")
 	}
 }
@@ -175,19 +183,19 @@ func TestCenteredSubmeshAndShells(t *testing.T) {
 	m := New(9, 9)
 	c := Point{4, 4}
 	// Shell 0 of a 3x1 request is the 3x1 submesh centered on c.
-	s0 := m.Shell(c, 3, 1, 0)
+	s0 := shell(m, c, 3, 1, 0)
 	if len(s0) != 3 {
 		t.Fatalf("shell 0 size %d, want 3", len(s0))
 	}
 	// Shell 1 is the ring around the 3x1: a 5x3 minus the 3x1 = 12 nodes.
-	s1 := m.Shell(c, 3, 1, 1)
+	s1 := shell(m, c, 3, 1, 1)
 	if len(s1) != 12 {
 		t.Fatalf("shell 1 size %d, want 12", len(s1))
 	}
 	// Shells partition: no overlap between shells 0..3.
 	seen := map[int]bool{}
 	for k := 0; k <= 3; k++ {
-		for _, id := range m.Shell(c, 3, 1, k) {
+		for _, id := range shell(m, c, 3, 1, k) {
 			if seen[id] {
 				t.Fatalf("node %d in two shells", id)
 			}
@@ -200,8 +208,8 @@ func TestShellsCoverMesh(t *testing.T) {
 	m := New(5, 7)
 	c := Point{0, 0} // worst-case corner center
 	seen := map[int]bool{}
-	for k := 0; k <= m.MaxShells(1, 1); k++ {
-		for _, id := range m.Shell(c, 1, 1, k) {
+	for k := 0; k <= m.Grid().MaxShells(); k++ {
+		for _, id := range shell(m, c, 1, 1, k) {
 			seen[id] = true
 		}
 	}
@@ -212,7 +220,7 @@ func TestShellsCoverMesh(t *testing.T) {
 
 func TestShellClippedAtEdge(t *testing.T) {
 	m := New(4, 4)
-	s1 := m.Shell(Point{0, 0}, 1, 1, 1)
+	s1 := shell(m, Point{0, 0}, 1, 1, 1)
 	// Ring around (0,0) clipped to the mesh: (1,0),(0,1),(1,1).
 	if len(s1) != 3 {
 		t.Fatalf("clipped shell has %d nodes, want 3", len(s1))
@@ -247,7 +255,7 @@ func TestComponents(t *testing.T) {
 		if total != len(tc.ids) {
 			t.Errorf("%s: components cover %d ids, want %d", tc.name, total, len(tc.ids))
 		}
-		if (len(comps) <= 1) != m.Contiguous(tc.ids) {
+		if (len(comps) <= 1) != m.Grid().Contiguous(tc.ids) {
 			t.Errorf("%s: Contiguous disagrees with Components", tc.name)
 		}
 	}
@@ -318,7 +326,7 @@ func TestTorusNeighborWraps(t *testing.T) {
 func TestTorusRouteTakesShortWay(t *testing.T) {
 	m := NewTorus(8, 8)
 	src, dst := m.ID(Point{0, 0}), m.ID(Point{7, 7})
-	links := m.Route(src, dst)
+	links := m.Grid().Route(src, dst)
 	if len(links) != 2 {
 		t.Fatalf("torus route length %d, want 2 (one wrap per axis)", len(links))
 	}
@@ -343,7 +351,7 @@ func TestTorusRoutePropertyMatchesDist(t *testing.T) {
 	m := NewTorus(7, 5)
 	for src := 0; src < m.Size(); src += 3 {
 		for dst := 0; dst < m.Size(); dst += 2 {
-			if got := len(m.Route(src, dst)); got != m.Dist(src, dst) {
+			if got := len(m.Grid().Route(src, dst)); got != m.Dist(src, dst) {
 				t.Fatalf("route %d->%d has %d links, dist %d", src, dst, got, m.Dist(src, dst))
 			}
 		}

@@ -336,7 +336,7 @@ func TestAdaptiveRoutingAvoidsCongestion(t *testing.T) {
 func TestLinkUtilization(t *testing.T) {
 	m := mesh.New(8, 1)
 	n := New(m.Grid(), testConfig())
-	if u := n.LinkUtilization(); len(u) != m.NumLinks() {
+	if u := n.LinkUtilization(); len(u) != m.Grid().NumLinks() {
 		t.Fatalf("utilization length %d", len(u))
 	}
 	// Before traffic: zeros.
@@ -348,12 +348,12 @@ func TestLinkUtilization(t *testing.T) {
 	// One message 0->1 at t=1: link (0,+x) busy 0.1 over clock 1.
 	n.Send(0, 1, 1.0)
 	util := n.LinkUtilization()
-	li := m.LinkIndex(mesh.Link{From: 0, Dir: mesh.XPos})
+	li := m.Grid().LinkIndex(mesh.Link{From: 0, Dir: mesh.XPos})
 	if math.Abs(util[li]-0.1) > 1e-12 {
 		t.Fatalf("link utilization %g, want 0.1", util[li])
 	}
 	// Unused links remain zero.
-	other := m.LinkIndex(mesh.Link{From: 3, Dir: mesh.XPos})
+	other := m.Grid().LinkIndex(mesh.Link{From: 3, Dir: mesh.XPos})
 	if util[other] != 0 {
 		t.Fatal("unused link shows utilization")
 	}

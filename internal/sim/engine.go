@@ -183,19 +183,17 @@ type Engine struct {
 	qhead int
 	store jobStore // in-flight job state, SoA, handle-indexed
 
-	// Scheduler-round state. On the incremental path (RebuildSched
-	// false), pendBuf mirrors queue entry for entry (trackPend) and
-	// runOrd/runOrdH hold the running set ordered by (EstEnd, handle)
-	// (trackRun), both maintained at the events that change them instead
-	// of rebuilt every round; runBuf only serves the rebuild reference
-	// path. blocked is the head-blocked watermark: set when an FCFS/SJF
+	// Scheduler-round state. pendBuf mirrors queue entry for entry
+	// (trackPend) and runOrd/runOrdH hold the running set ordered by
+	// (EstEnd, handle) (trackRun), both maintained at the events that
+	// change them instead of rebuilt every round; FCFS needs neither.
+	// blocked is the head-blocked watermark: set when an FCFS/SJF
 	// round ends without a dispatch, letting the next round short-
 	// circuit in O(1), and invalidated only on release and fault
 	// transitions (plus arrivals that can change the decision: any
 	// arrival under SJF, an arrival into an empty queue under FCFS).
 	// EASY never blocks — its backfill decisions depend on the clock.
 	pendBuf   []sched.Pending
-	runBuf    []sched.Running
 	reqBuf    []alloc.Request
 	runOrd    []sched.Running
 	runOrdH   []int32
@@ -296,11 +294,6 @@ func NewEngine(cfg Config) (*Engine, error) {
 	if err != nil {
 		return nil, err
 	}
-	if cfg.AllocWorkers > 1 {
-		if ps, ok := allocator.(alloc.ParallelScorer); ok {
-			ps.SetParallelism(cfg.AllocWorkers)
-		}
-	}
 	pattern, err := comm.ByName(cfg.Pattern)
 	if err != nil {
 		return nil, err
@@ -314,8 +307,6 @@ func NewEngine(cfg Config) (*Engine, error) {
 	if cfg.AuditEvery < 0 {
 		return nil, fmt.Errorf("sim: AuditEvery must be >= 0, got %d", cfg.AuditEvery)
 	}
-	_, isFCFS := policy.(sched.FCFS)
-	_, isSJF := policy.(sched.SJF)
 	batcher, _ := allocator.(alloc.BatchAllocator)
 	e := &Engine{
 		cfg:        cfg,
@@ -323,26 +314,35 @@ func NewEngine(cfg Config) (*Engine, error) {
 		allocator:  allocator,
 		batcher:    batcher,
 		pattern:    pattern,
-		policy:     policy,
-		isFCFS:     isFCFS,
-		isSJF:      isSJF,
 		net:        netsim.New(m, cfg.Net),
 		rng:        stats.NewRNG(cfg.Seed),
 		respMedian: stats.NewP2Quantile(0.5),
 		auditEvery: int64(cfg.AuditEvery),
 	}
-	if !cfg.RebuildSched {
-		e.trackPend = !isFCFS
-		e.trackRun = !isFCFS
-		e.canBlock = isFCFS || isSJF
-		e.sorted, _ = policy.(sched.SortedPolicy)
-	}
+	e.setPolicy(policy)
 	if cfg.Faults.Enabled() {
 		if err := e.initFaults(); err != nil {
 			return nil, err
 		}
 	}
 	return e, nil
+}
+
+// setPolicy installs the scheduling policy and derives the dispatch
+// paths it admits from its concrete type: FCFS only ever inspects the
+// queue head (no mirrors, batch dispatch), FCFS and SJF may arm the
+// head-blocked watermark, and a SortedPolicy reads the end-time-ordered
+// running index directly. Any other policy takes the general path: one
+// Pick per round over the incrementally maintained mirrors. It must run
+// before the first job is queued.
+func (e *Engine) setPolicy(p sched.Policy) {
+	_, e.isFCFS = p.(sched.FCFS)
+	_, e.isSJF = p.(sched.SJF)
+	e.policy = p
+	e.sorted, _ = p.(sched.SortedPolicy)
+	e.trackPend = !e.isFCFS
+	e.trackRun = !e.isFCFS
+	e.canBlock = e.isFCFS || e.isSJF
 }
 
 // initFaults validates the fault configuration and arms the engine's
@@ -1044,31 +1044,13 @@ func (e *Engine) trySchedule(now float64) {
 			if q := e.pending(); len(q) > 0 && q[0].Size <= e.allocator.NumFree() {
 				pick = 0
 			}
-		case e.cfg.RebuildSched:
-			// Reference path: rebuild the policy's snapshots from
-			// scratch every round, iterating live handles in ascending
-			// order so equal-EstEnd running entries land in the same
-			// relative order the incremental index keeps.
-			e.pendBuf = e.pendBuf[:0]
-			for _, j := range e.pending() {
-				e.pendBuf = append(e.pendBuf, sched.Pending{Size: j.Size, EstRuntime: j.Runtime})
-			}
-			e.runBuf = e.runBuf[:0]
-			for h := 0; h < len(e.store.job); h++ {
-				if e.store.inUse[h] && !e.store.dead[h] {
-					e.runBuf = append(e.runBuf, sched.Running{Size: e.store.job[h].Size, EstEnd: e.store.estEnd[h]})
-				}
-			}
-			pick = e.policy.Pick(e.pendBuf, now, e.allocator.NumFree(), e.runBuf)
+		case e.sorted != nil:
+			// pendBuf mirrors the queue and runOrd is already (EstEnd,
+			// handle)-sorted, so the round costs one policy scan and
+			// nothing else.
+			pick = e.sorted.PickSorted(e.pendBuf, now, e.allocator.NumFree(), e.runOrd)
 		default:
-			// Incremental path: pendBuf mirrors the queue and runOrd is
-			// already (EstEnd, handle)-sorted, so the round costs one
-			// policy scan and nothing else.
-			if e.sorted != nil {
-				pick = e.sorted.PickSorted(e.pendBuf, now, e.allocator.NumFree(), e.runOrd)
-			} else {
-				pick = e.policy.Pick(e.pendBuf, now, e.allocator.NumFree(), e.runOrd)
-			}
+			pick = e.policy.Pick(e.pendBuf, now, e.allocator.NumFree(), e.runOrd)
 		}
 		if pick < 0 {
 			e.block()
@@ -1210,20 +1192,10 @@ func (e *Engine) finish(h int32, now float64) {
 		end = now
 	}
 	inv := 1 / e.cfg.TimeScale
-	var nComps int
-	var avgPair float64
-	if e.cfg.NaiveMetrics {
-		// Reference walks: materialize the components, decode a
-		// coordinate pair per distance.
-		nComps = len(e.grid.Components(nodes))
-		avgPair = e.grid.AvgPairwiseDist(nodes)
-	} else {
-		// Counted forms: integer-exact per-axis histograms and an
-		// epoch-stamped flood fill — bit-identical results at a
-		// fraction of the cost (see topo/setmetrics.go).
-		nComps = e.grid.CountComponents(nodes, &e.setScratch)
-		avgPair = e.grid.AvgPairwiseDistCounted(nodes, &e.setScratch)
-	}
+	// Counted forms: integer-exact per-axis histograms and an
+	// epoch-stamped flood fill (see topo/setmetrics.go).
+	nComps := e.grid.CountComponents(nodes, &e.setScratch)
+	avgPair := e.grid.AvgPairwiseDistCounted(nodes, &e.setScratch)
 	rec := JobRecord{
 		ID:          job.ID,
 		Size:        job.Size,

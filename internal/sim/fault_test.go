@@ -297,12 +297,11 @@ func TestFaultAllocatorGate(t *testing.T) {
 // share: exponential failures dense enough to kill jobs, quick
 // repairs, and a bounded retry policy so the run terminates even if a
 // long job keeps getting unlucky.
-func faultyCfg(alloc string, workers int) Config {
+func faultyCfg(alloc string) Config {
 	return Config{
 		MeshW: 8, MeshH: 8,
 		Alloc: alloc, Pattern: "nbody",
 		Load: 0.4, TimeScale: 0.01, Seed: 1,
-		AllocWorkers: workers,
 		Faults: fault.Config{
 			MTBF: fault.Dist{Kind: fault.DistExponential, Mean: 300000},
 			MTTR: fault.Dist{Kind: fault.DistExponential, Mean: 10000},
@@ -312,79 +311,61 @@ func faultyCfg(alloc string, workers int) Config {
 }
 
 // TestFaultRunDeterministic: a fault-injected closed run is a pure
-// function of its config — same digest run to run and at any allocator
-// worker count — and it actually exercises the fault path.
+// function of its config — same digest run to run — and it actually
+// exercises the fault path.
 func TestFaultRunDeterministic(t *testing.T) {
 	for _, spec := range []string{"hilbert/bestfit", "mc1x1", "genalg"} {
 		t.Run(spec, func(t *testing.T) {
 			tr := faultTrace(150, 32)
-			base, err := Run(faultyCfg(spec, 0), tr)
-			if err != nil {
-				t.Fatal(err)
-			}
+			base := mustRun(t, faultyCfg(spec), tr)
 			if base.Killed == 0 {
 				t.Fatalf("workload too calm: no kills (makespan %v, down %v%%)", base.Makespan, base.DownPct)
 			}
-			want := goldenDigest(base)
-			for _, workers := range []int{1, 4} {
-				res, err := Run(faultyCfg(spec, workers), tr)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if got := goldenDigest(res); got != want {
-					t.Fatalf("workers=%d digest %s, want %s", workers, got, want)
-				}
-				if res.Killed != base.Killed || res.Retried != base.Retried || res.GivenUp != base.GivenUp {
-					t.Fatalf("workers=%d fault counters diverge", workers)
-				}
+			res := mustRun(t, faultyCfg(spec), tr)
+			if got, want := goldenDigest(res), goldenDigest(base); got != want {
+				t.Fatalf("rerun digest %s, want %s", got, want)
+			}
+			if res.Killed != base.Killed || res.Retried != base.Retried || res.GivenUp != base.GivenUp {
+				t.Fatal("rerun fault counters diverge")
 			}
 		})
 	}
 }
 
 // TestFaultRunAcrossEventCoreToggles: a fault-injected run — kills,
-// retries, mask/unmask churn and all — produces one digest across the
-// whole event-core matrix: {off, every auditStride events} invariant
-// audit × {incremental, rebuild} scheduler state × {counted, naive}
-// metrics. Fault events stress exactly the paths the fault-free goldens
-// cannot (the fault-first tie rule against the heap root, watermark
-// invalidation on mask/unmask, dead-handle recycling through the heap,
-// retry arrivals taking and freeing slab slots), and the audits check
-// those books mid-run.
+// retries, mask/unmask churn and all — produces one digest with the
+// invariant auditor off, every auditStride events, and on the scheduler
+// reference path (runReference) under FCFS, EASY and SJF. Fault events
+// stress exactly the paths the fault-free goldens cannot (the
+// fault-first tie rule against the heap root, watermark invalidation on
+// mask/unmask, dead-handle recycling through the heap, retry arrivals
+// taking and freeing slab slots), and the audits check those books
+// mid-run.
 func TestFaultRunAcrossEventCoreToggles(t *testing.T) {
 	for _, spec := range []string{"hilbert/bestfit", "mc1x1"} {
-		t.Run(spec, func(t *testing.T) {
-			tr := faultTrace(150, 32)
-			base, err := Run(faultyCfg(spec, 0), tr)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if base.Killed == 0 {
-				t.Fatalf("workload too calm: no kills")
-			}
-			want := goldenDigest(base)
-			for _, audit := range []int{0, auditStride} {
-				for _, rebuild := range []bool{false, true} {
-					for _, naive := range []bool{false, true} {
-						cfg := faultyCfg(spec, 0)
-						cfg.AuditEvery = audit
-						cfg.RebuildSched = rebuild
-						cfg.NaiveMetrics = naive
-						res, err := Run(cfg, tr)
-						if err != nil {
-							t.Fatal(err)
-						}
-						if got := goldenDigest(res); got != want {
-							t.Fatalf("audit=%d/rebuild=%v/naive=%v digest %s, want %s",
-								audit, rebuild, naive, got, want)
-						}
-						if res.Killed != base.Killed || res.Retried != base.Retried || res.GivenUp != base.GivenUp {
-							t.Fatalf("audit=%d/rebuild=%v/naive=%v fault counters diverge", audit, rebuild, naive)
-						}
+		for _, policy := range []string{"fcfs", "easy", "sjf"} {
+			t.Run(spec+"/"+policy, func(t *testing.T) {
+				tr := faultTrace(150, 32)
+				cfg := faultyCfg(spec)
+				cfg.Scheduler = policy
+				base := mustRun(t, cfg, tr)
+				if base.Killed == 0 {
+					t.Fatalf("workload too calm: no kills")
+				}
+				want := goldenDigest(base)
+				cfg.AuditEvery = auditStride
+				audited := mustRun(t, cfg, tr)
+				cfg.AuditEvery = 0
+				for name, res := range map[string]*Result{"audit": audited, "reference": runReference(t, cfg, tr)} {
+					if got := goldenDigest(res); got != want {
+						t.Fatalf("%s digest %s, want %s", name, got, want)
+					}
+					if res.Killed != base.Killed || res.Retried != base.Retried || res.GivenUp != base.GivenUp {
+						t.Fatalf("%s fault counters diverge", name)
 					}
 				}
-			}
-		})
+			})
+		}
 	}
 }
 
@@ -397,13 +378,7 @@ func TestFaultsDisabledMatchesGolden(t *testing.T) {
 			cfg := tc.cfg
 			cfg.Faults = fault.Config{}
 			cfg.Retry = fault.Retry{}
-			tr := trace.NewSDSC(trace.SDSCConfig{Jobs: tc.jobs, MaxSize: tc.max, Seed: 1}).
-				FilterMaxSize(tc.max)
-			res, err := Run(cfg, tr)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got := goldenDigest(res); got != tc.digest {
+			if got := goldenDigest(mustRun(t, cfg, goldenTrace(tc.jobs, tc.max))); got != tc.digest {
 				t.Fatalf("digest %s, want %s", got, tc.digest)
 			}
 		})
@@ -418,7 +393,7 @@ func TestFaultsDisabledMatchesGolden(t *testing.T) {
 // is only checked at releases (which mask/unmask events also are) and
 // at the end of the run.
 func TestFaultDeltaMirror(t *testing.T) {
-	cfg := faultyCfg("hilbert/bestfit", 0)
+	cfg := faultyCfg("hilbert/bestfit")
 	e, err := NewEngine(cfg)
 	if err != nil {
 		t.Fatal(err)

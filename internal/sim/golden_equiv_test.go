@@ -5,6 +5,7 @@ import (
 	"hash/fnv"
 	"testing"
 
+	"meshalloc/internal/sched"
 	"meshalloc/internal/trace"
 )
 
@@ -33,8 +34,9 @@ func goldenDigest(res *Result) string {
 
 // goldenCases are the paper-figure configurations whose batch outputs
 // are pinned bit-for-bit across the engine refactor: the 2-D Figure 7/8
-// machines, the native 3-D ext-cube3d machine, the EASY scheduler path,
-// and the sequential-issue ablation with a randomized pattern.
+// machines, the native 3-D ext-cube3d machine, the EASY and SJF
+// scheduler paths, and the sequential-issue ablation with a randomized
+// pattern.
 var goldenCases = []struct {
 	name   string
 	cfg    Config
@@ -71,6 +73,15 @@ var goldenCases = []struct {
 		digest: "8c0bc3cd16040603",
 	},
 	{
+		// SJF re-picks from the whole queue and re-arms its head-blocked
+		// watermark on every arrival; the queue stays ~10 jobs deep.
+		name: "sjf-16x16-alltoall-mc",
+		cfg: Config{MeshW: 16, MeshH: 16, Alloc: "mc", Pattern: "alltoall",
+			Load: 0.4, TimeScale: 0.01, Seed: 1, Scheduler: "sjf"},
+		jobs: 300, max: 256,
+		digest: "ece01d70662acdf0",
+	},
+	{
 		name: "seq-16x22-random-scurve",
 		cfg: Config{MeshW: 16, MeshH: 22, Alloc: "scurve", Pattern: "random",
 			Load: 0.6, TimeScale: 0.01, Seed: 1, Issue: IssueSequential},
@@ -79,19 +90,28 @@ var goldenCases = []struct {
 	},
 }
 
+// mustRun is Run failing the test on error.
+func mustRun(t *testing.T, cfg Config, tr *trace.Trace) *Result {
+	t.Helper()
+	res, err := Run(cfg, tr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
+
+// goldenTrace is the trace every golden case replays.
+func goldenTrace(jobs, max int) *trace.Trace {
+	return trace.NewSDSC(trace.SDSCConfig{Jobs: jobs, MaxSize: max, Seed: 1}).FilterMaxSize(max)
+}
+
 // TestBatchRunGoldenDigests pins Run's batch outputs bit-for-bit against
 // digests recorded before the Engine refactor: any change to event
 // ordering, float arithmetic, or record contents fails here.
 func TestBatchRunGoldenDigests(t *testing.T) {
 	for _, tc := range goldenCases {
 		t.Run(tc.name, func(t *testing.T) {
-			tr := trace.NewSDSC(trace.SDSCConfig{Jobs: tc.jobs, MaxSize: tc.max, Seed: 1}).
-				FilterMaxSize(tc.max)
-			res, err := Run(tc.cfg, tr)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got := goldenDigest(res); got != tc.digest {
+			if got := goldenDigest(mustRun(t, tc.cfg, goldenTrace(tc.jobs, tc.max))); got != tc.digest {
 				t.Fatalf("digest %s, want %s (batch output changed bit-wise)", got, tc.digest)
 			}
 		})
@@ -105,37 +125,118 @@ func TestBatchRunGoldenDigests(t *testing.T) {
 const auditStride = 32
 
 // TestGoldenDigestsAcrossEventCoreToggles re-runs every golden case
-// through the event-core configuration matrix — {off, every
-// auditStride events} invariant audit × {incremental, rebuild-per-round}
-// scheduler state × {counted, naive} dispersal metrics — and requires
-// the identical pre-overhaul digest from each of the eight
-// combinations. Every fast path must be a pure performance change,
-// indistinguishable in any output bit from the retained reference
-// implementations, and the mid-run audits must neither fire nor
-// perturb the run.
+// with the invariant auditor off, after every event and every
+// auditStride events, and requires the identical digest from all three:
+// the mid-run audits must neither fire nor perturb the run. Auditing
+// after every event pins the production fast paths' incremental mirrors
+// at each step, which the reference path alone does not reach.
 func TestGoldenDigestsAcrossEventCoreToggles(t *testing.T) {
 	for _, tc := range goldenCases {
-		for _, audit := range []int{0, auditStride} {
-			for _, rebuild := range []bool{false, true} {
-				for _, naive := range []bool{false, true} {
-					cfg := tc.cfg
-					cfg.AuditEvery = audit
-					cfg.RebuildSched = rebuild
-					cfg.NaiveMetrics = naive
-					name := fmt.Sprintf("%s/audit=%d/rebuild=%v/naive=%v", tc.name, audit, rebuild, naive)
-					t.Run(name, func(t *testing.T) {
-						tr := trace.NewSDSC(trace.SDSCConfig{Jobs: tc.jobs, MaxSize: tc.max, Seed: 1}).
-							FilterMaxSize(tc.max)
-						res, err := Run(cfg, tr)
-						if err != nil {
-							t.Fatal(err)
-						}
-						if got := goldenDigest(res); got != tc.digest {
-							t.Fatalf("digest %s, want %s (toggle combination diverged)", got, tc.digest)
-						}
-					})
+		for _, audit := range []int{0, 1, auditStride} {
+			cfg := tc.cfg
+			cfg.AuditEvery = audit
+			t.Run(fmt.Sprintf("%s/audit=%d", tc.name, audit), func(t *testing.T) {
+				if got := goldenDigest(mustRun(t, cfg, goldenTrace(tc.jobs, tc.max))); got != tc.digest {
+					t.Fatalf("digest %s, want %s (audit cadence changed the run)", got, tc.digest)
 				}
-			}
+			})
 		}
+	}
+}
+
+// opaquePolicy hides a policy's concrete type from the engine: it
+// exposes only Name and Pick, so setPolicy derives the general dispatch
+// path — no FCFS head fast path, no batch dispatch or same-time arrival
+// draining, no PickSorted, no head-blocked watermark.
+type opaquePolicy struct{ sched.Policy }
+
+// runReference is Run on the scheduler reference path: the configured
+// policy behind opaquePolicy, with the invariant auditor after every
+// event. The pend-mirror, run-mirror and run-order audits then pin the
+// incremental scheduler mirrors against the queue and the job store at
+// every step, while the policy itself makes each decision from them.
+func runReference(t *testing.T, cfg Config, tr *trace.Trace) *Result {
+	t.Helper()
+	e, err := NewEngine(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e.setPolicy(opaquePolicy{e.policy})
+	e.auditEvery = 1
+	for _, j := range tr.Jobs {
+		if err := e.Submit(j); err != nil {
+			t.Fatal(err)
+		}
+	}
+	e.Drain()
+	if e.Deadlocked() {
+		t.Fatalf("reference run deadlocked with %d queued", e.Pending())
+	}
+	if err := e.Audit(); err != nil {
+		t.Fatal(err)
+	}
+	return e.Result()
+}
+
+// TestSchedulerReferenceGoldenDigests runs every golden case under FCFS,
+// EASY and SJF on both the production scheduler paths and the
+// reference path, and requires identical digests — equal to the pinned
+// one under the case's own scheduler. The fast paths (head-only FCFS,
+// batch dispatch, PickSorted, the head-blocked watermark) must be pure
+// performance changes.
+func TestSchedulerReferenceGoldenDigests(t *testing.T) {
+	for _, tc := range goldenCases {
+		own := tc.cfg.withDefaults().Scheduler
+		for _, policy := range []string{"fcfs", "easy", "sjf"} {
+			cfg := tc.cfg
+			cfg.Scheduler = policy
+			t.Run(tc.name+"/"+policy, func(t *testing.T) {
+				t.Parallel()
+				tr := goldenTrace(tc.jobs, tc.max)
+				want := goldenDigest(mustRun(t, cfg, tr))
+				if policy == own && want != tc.digest {
+					t.Fatalf("production digest %s, want pinned %s", want, tc.digest)
+				}
+				if got := goldenDigest(runReference(t, cfg, tr)); got != want {
+					t.Fatalf("reference digest %s, want %s", got, want)
+				}
+			})
+		}
+	}
+}
+
+// TestScoringAllocatorGoldenDigests pins full simulations of the
+// scoring allocators the golden cases leave out — MC on the Figure 7/8
+// machines, Gen-Alg in 2-D and 3-D, MC1x1 in 3-D — to digests recorded
+// before the sharded scorer was deleted, and requires the scheduler
+// reference path to reproduce them.
+func TestScoringAllocatorGoldenDigests(t *testing.T) {
+	cases := []struct {
+		name   string
+		cfg    Config
+		max    int
+		digest string
+	}{
+		{"mc-16x16-alltoall", Config{MeshW: 16, MeshH: 16, Alloc: "mc", Pattern: "alltoall",
+			Load: 0.4, TimeScale: 0.01, Seed: 1}, 256, "4a6844ce35fdb68f"},
+		{"mc-16x22-alltoall", Config{MeshW: 16, MeshH: 22, Alloc: "mc", Pattern: "alltoall",
+			Load: 0.4, TimeScale: 0.01, Seed: 1}, 352, "adb8817050237e77"},
+		{"genalg-16x16-nbody", Config{MeshW: 16, MeshH: 16, Alloc: "genalg", Pattern: "nbody",
+			Load: 0.4, TimeScale: 0.01, Seed: 1}, 256, "5bdb293fc187eb34"},
+		{"genalg-8x8x8-nbody", Config{Dims: []int{8, 8, 8}, Alloc: "genalg", Pattern: "nbody",
+			Load: 0.2, TimeScale: 0.01, Seed: 1}, 512, "3d2a8cef42b929bf"},
+		{"mc1x1-8x8x8-nbody", Config{Dims: []int{8, 8, 8}, Alloc: "mc1x1", Pattern: "nbody",
+			Load: 0.2, TimeScale: 0.01, Seed: 1}, 512, "5cfafba34c540ba1"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			tr := goldenTrace(150, tc.max)
+			if got := goldenDigest(mustRun(t, tc.cfg, tr)); got != tc.digest {
+				t.Fatalf("digest %s, want %s", got, tc.digest)
+			}
+			if got := goldenDigest(runReference(t, tc.cfg, tr)); got != tc.digest {
+				t.Fatalf("reference digest %s, want %s", got, tc.digest)
+			}
+		})
 	}
 }

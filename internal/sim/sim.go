@@ -119,13 +119,6 @@ type Config struct {
 	// (Keep, default). Discard skips the per-job copy; dispersal
 	// metrics (AvgPairwise, Components) are computed either way.
 	KeepNodes KeepPolicy
-	// AllocWorkers shards the allocator's candidate-scoring loop over
-	// this many goroutines when the allocator supports it (MC, MC1x1 and
-	// Gen-Alg on their indexed paths). The parallel scan is bit-identical
-	// to the sequential one — the lowest-id candidate wins ties either
-	// way — so this knob only trades goroutines for wall clock. 0 or 1
-	// keeps the sequential loop; other allocators ignore it.
-	AllocWorkers int
 	// Faults injects node failure/repair events (see fault.Config). The
 	// zero value disables injection, leaving every code path and output
 	// bit-identical to a fault-free engine. Fault times (MTBF/MTTR
@@ -143,24 +136,14 @@ type Config struct {
 	// with no attempt bound; parse "none", "immediate[:N]" or
 	// "backoff:BASE,CAP[,N]" specs with fault.ParseRetry.
 	Retry fault.Retry
-	// RebuildSched, when true, rebuilds the scheduler's pending/running
-	// snapshots from scratch on every round and disables the
-	// head-blocked watermark — the reference path the incremental
-	// structures are equivalence-tested against. Outputs are identical;
-	// the default (false) is just faster.
-	RebuildSched bool
-	// NaiveMetrics, when true, computes each finished job's dispersal
-	// metrics (Components, AvgPairwise) with the materializing
-	// reference walks instead of the counted forms in topo/setmetrics.go.
-	// The counted forms are integer-exact, so outputs are bit-identical
-	// either way; the knob exists for equivalence testing.
-	NaiveMetrics bool
 	// AuditEvery, when positive, runs the invariant auditor (see
 	// Engine.Audit) after every AuditEvery-th processed event. A
 	// violation panics — it means engine bookkeeping has diverged, the
 	// same class of bug the engine's other internal checks treat as
 	// fatal. 0 (default) disables periodic auditing; the audit always
 	// runs once at the end of a batch Run and after a snapshot restore.
+	// It is the one Config field that cannot change an output bit, so a
+	// snapshot may resume under a different value.
 	AuditEvery int
 }
 

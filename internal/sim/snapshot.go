@@ -19,15 +19,16 @@ import (
 
 // ErrConfigMismatch is returned (wrapped) by RestoreEngine when the
 // snapshot was taken under a semantically different Config than the one
-// the restore supplies. Fields that cannot change outcomes —
-// AllocWorkers, RebuildSched, NaiveMetrics, AuditEvery — are excluded
-// from the comparison, so a run may legally resume under a different
-// worker count or scheduler-state path.
+// the restore supplies. AuditEvery, the one field that cannot change
+// outcomes, is excluded from the comparison, so a run may legally resume
+// with a different audit cadence.
 var ErrConfigMismatch = errors.New("sim: snapshot was taken under a different configuration")
 
 // cfgFingerprint hashes the semantic configuration fields — the ones
 // that determine the event sequence and outputs. cfg must already have
-// defaults applied so "" and "fcfs" schedulers hash identically.
+// defaults applied so "" and "fcfs" schedulers hash identically. The
+// fields are listed explicitly, so adding or removing an outcome-neutral
+// Config field leaves every fingerprint, and every saved snapshot, valid.
 func cfgFingerprint(cfg Config) uint64 {
 	h := fnv.New64a()
 	fmt.Fprintf(h, "%v|%v|%s|%s|%v|%v|%d|%+v|%s|%d|%v|%d|%d|%d|%+v|%+v",
@@ -291,8 +292,7 @@ func (e *Engine) Snapshot(out io.Writer) error {
 // sequence, records and aggregates are bit-identical to the run that
 // never stopped. cfg must match the snapshotting run's semantic
 // configuration (ErrConfigMismatch otherwise); the outcome-neutral
-// fields — AllocWorkers, RebuildSched, NaiveMetrics, AuditEvery — may
-// differ freely.
+// AuditEvery may differ freely.
 //
 // Corrupt input is rejected with a typed error, never a panic:
 // snap.ErrBadMagic, snap.ErrVersion or snap.ErrChecksum for a damaged

@@ -49,7 +49,7 @@ var resumeCases = []struct {
 	},
 	{
 		name: "faulty-mc1x1",
-		cfg:  faultyCfg("mc1x1", 0),
+		cfg:  faultyCfg("mc1x1"),
 		tr:   func() *trace.Trace { return faultTrace(150, 32) },
 	},
 }
@@ -324,8 +324,6 @@ func TestRestoreConfigMismatch(t *testing.T) {
 		t.Fatalf("alloc change: got %v, want ErrConfigMismatch", err)
 	}
 	ok := tc.cfg
-	ok.AllocWorkers = 4
-	ok.RebuildSched = true
 	ok.AuditEvery = 10
 	if _, err := RestoreEngine(bytes.NewReader(blob), ok); err != nil {
 		t.Fatalf("outcome-neutral changes rejected: %v", err)
@@ -366,7 +364,7 @@ func TestRestoreRejectsDamage(t *testing.T) {
 func FuzzRestoreEngine(f *testing.F) {
 	cfg := Config{MeshW: 8, MeshH: 8, Alloc: "mc1x1", Pattern: "nbody",
 		Load: 0.4, TimeScale: 0.01, Seed: 1}
-	cfgF := faultyCfg("mc1x1", 0)
+	cfgF := faultyCfg("mc1x1")
 	tr := faultTrace(60, 32)
 	// seed snapshots after n events, then steps on until done(e) holds.
 	seed := func(c Config, n int, done func(*Engine) bool) []byte {

@@ -114,6 +114,36 @@ func TestIDCoordRoundTrip(t *testing.T) {
 	}
 }
 
+func TestNewPanicsOnBadDims(t *testing.T) {
+	for _, dims := range [][]int{nil, {0}, {4, 0, 2}, {3, -1}, make([]int, MaxDims+1)} {
+		for _, ctor := range []func([]int) *Grid{New, NewTorus} {
+			func() {
+				defer func() {
+					if recover() == nil {
+						t.Errorf("grid %v should panic", dims)
+					}
+				}()
+				ctor(dims)
+			}()
+		}
+	}
+}
+
+func TestManhattan3(t *testing.T) {
+	if d := XYZ(1, 2, 3).Manhattan(XYZ(4, 0, 5)); d != 7 {
+		t.Fatalf("distance = %d, want 7", d)
+	}
+	// On a plain mesh the id distance is the coordinate L1 distance.
+	g := New([]int{3, 4, 2})
+	for a := 0; a < g.Size(); a++ {
+		for b := 0; b < g.Size(); b++ {
+			if got, want := g.Dist(a, b), g.Coord(a).Manhattan(g.Coord(b)); got != want {
+				t.Fatalf("Dist(%d, %d) = %d, want %d", a, b, got, want)
+			}
+		}
+	}
+}
+
 func TestIDMatches2DRowMajor(t *testing.T) {
 	g := New([]int{16, 22})
 	for y := 0; y < 22; y++ {
@@ -209,6 +239,21 @@ func TestRouteMatches2DXYOrder(t *testing.T) {
 		{From: g.ID(XY(2, 3)), Dir: 0}, {From: g.ID(XY(3, 3)), Dir: 0}, {From: g.ID(XY(4, 3)), Dir: 0},
 		{From: g.ID(XY(5, 3)), Dir: 2}, {From: g.ID(XY(5, 4)), Dir: 2}, {From: g.ID(XY(5, 5)), Dir: 2},
 		{From: g.ID(XY(5, 6)), Dir: 2},
+	}
+	if !reflect.DeepEqual(route, want) {
+		t.Fatalf("route = %v, want %v", route, want)
+	}
+}
+
+func TestRouteRevMatches2DYXOrder(t *testing.T) {
+	// The reversed dimension order resolves y before x: the y-x router
+	// of the routing-sensitivity study.
+	g := New([]int{8, 8})
+	route := g.AppendRouteRev(nil, g.ID(XY(1, 1)), g.ID(XY(5, 3)))
+	want := []Link{
+		{From: g.ID(XY(1, 1)), Dir: 2}, {From: g.ID(XY(1, 2)), Dir: 2},
+		{From: g.ID(XY(1, 3)), Dir: 0}, {From: g.ID(XY(2, 3)), Dir: 0},
+		{From: g.ID(XY(3, 3)), Dir: 0}, {From: g.ID(XY(4, 3)), Dir: 0},
 	}
 	if !reflect.DeepEqual(route, want) {
 		t.Fatalf("route = %v, want %v", route, want)

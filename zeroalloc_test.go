@@ -25,16 +25,15 @@ import (
 	"meshalloc/internal/trace"
 )
 
-// TestShellIterationZeroAlloc pins mesh shell walking (the inner loop of
-// MC's candidate scoring) at zero allocations when the caller reuses a
-// scratch buffer.
+// TestShellIterationZeroAlloc pins grid shell walking (MC's winning
+// gather) at zero allocations when the caller reuses a scratch buffer.
 func TestShellIterationZeroAlloc(t *testing.T) {
-	m := mesh.New(16, 22)
-	buf := make([]int, 0, m.Size())
-	center := mesh.Point{X: 8, Y: 11}
+	g := topo.New([]int{16, 22})
+	buf := make([]int, 0, g.Size())
+	center, ext := topo.XY(8, 11), topo.XY(4, 4)
 	n := testing.AllocsPerRun(200, func() {
 		for k := 0; k <= 8; k++ {
-			buf = m.AppendShell(buf[:0], center, 4, 4, k)
+			buf = g.AppendShell(buf[:0], center, ext, k)
 		}
 	})
 	if n != 0 {
@@ -45,12 +44,12 @@ func TestShellIterationZeroAlloc(t *testing.T) {
 // TestShellEachZeroAlloc pins the index-callback variant at zero
 // allocations, including the closure itself.
 func TestShellEachZeroAlloc(t *testing.T) {
-	m := mesh.New(16, 22)
-	center := mesh.Point{X: 3, Y: 20}
+	g := topo.New([]int{16, 22})
+	center, ext := topo.XY(3, 20), topo.XY(4, 4)
 	sum := 0
 	n := testing.AllocsPerRun(200, func() {
 		for k := 0; k <= 8; k++ {
-			m.ShellEach(center, 4, 4, k, func(id int) bool {
+			g.ShellEach(center, ext, k, func(id int) bool {
 				sum += id
 				return true
 			})
@@ -65,11 +64,11 @@ func TestShellEachZeroAlloc(t *testing.T) {
 // TestRouteAppendZeroAlloc pins dimension-ordered route construction into
 // a reused buffer at zero allocations.
 func TestRouteAppendZeroAlloc(t *testing.T) {
-	m := mesh.New(16, 22)
-	buf := make([]mesh.Link, 0, m.Width()+m.Height())
+	g := topo.New([]int{16, 22})
+	buf := make([]topo.Link, 0, 16+22)
 	n := testing.AllocsPerRun(200, func() {
-		buf = m.AppendRoute(buf[:0], 0, m.Size()-1)
-		buf = m.AppendRouteYX(buf[:0], m.Size()-1, 3)
+		buf = g.AppendRoute(buf[:0], 0, g.Size()-1)
+		buf = g.AppendRouteRev(buf[:0], g.Size()-1, 3)
 	})
 	if n != 0 {
 		t.Fatalf("AppendRoute allocates %.1f objects/run, want 0", n)
