@@ -156,7 +156,7 @@ func benchResponseFigure(b *testing.B, w, h int, pattern string) {
 		bestY, worstY := 0.0, 0.0
 		for _, spec := range alloc.Specs() {
 			res, err := sim.Run(sim.Config{
-				MeshW: w, MeshH: h,
+				Dims:  []int{w, h},
 				Alloc: spec, Pattern: pattern,
 				Load: 0.2, TimeScale: 0.01, Seed: 1,
 			}, tr)
@@ -248,7 +248,7 @@ func ablationRun(b *testing.B, mutate func(*sim.Config)) float64 {
 	b.Helper()
 	tr := benchTrace(250, 256)
 	cfg := sim.Config{
-		MeshW: 16, MeshH: 16,
+		Dims:  []int{16, 16},
 		Alloc: "hilbert/bestfit", Pattern: "nbody",
 		Load: 0.4, TimeScale: 0.01, Seed: 1,
 	}
@@ -290,7 +290,7 @@ func BenchmarkAblationTruncation(b *testing.B) {
 		b.Run(spec, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				res, err := sim.Run(sim.Config{
-					MeshW: 16, MeshH: 22,
+					Dims:  []int{16, 22},
 					Alloc: spec, Pattern: "nbody",
 					Load: 0.4, TimeScale: 0.01, Seed: 1,
 				}, tr)
@@ -348,7 +348,7 @@ func BenchmarkExtContiguousBaselines(b *testing.B) {
 		b.Run(spec, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				res, err := sim.Run(sim.Config{
-					MeshW: 16, MeshH: 16,
+					Dims:  []int{16, 16},
 					Alloc: spec, Pattern: "alltoall",
 					Load: 0.4, TimeScale: 0.01, Seed: 1,
 				}, tr)
@@ -409,7 +409,7 @@ func BenchmarkEngineVsBatch(b *testing.B) {
 	const jobs = 5000
 	tr := benchTrace(jobs, 256)
 	cfg := sim.Config{
-		MeshW: 16, MeshH: 16,
+		Dims:  []int{16, 16},
 		Alloc: "hilbert/bestfit", Pattern: "nbody",
 		Load: 0.4, TimeScale: 0.01, Seed: 1,
 	}
@@ -465,7 +465,7 @@ func BenchmarkOpenSystemMillionJobs(b *testing.B) {
 	runtime.ReadMemStats(&m0)
 	for i := 0; i < b.N; i++ {
 		cfg := sim.Config{
-			MeshW: 16, MeshH: 16,
+			Dims:  []int{16, 16},
 			Alloc: "hilbert/bestfit", Pattern: "nbody",
 			Seed:          1,
 			MsgsPerSecond: 1e-4,
@@ -524,7 +524,7 @@ func BenchmarkEventCore(b *testing.B) {
 		var events int64
 		for i := 0; i < b.N; i++ {
 			cfg := sim.Config{
-				MeshW: 16, MeshH: 16,
+				Dims:  []int{16, 16},
 				Alloc: "hilbert/bestfit", Pattern: "nbody",
 				Seed:          1,
 				MsgsPerSecond: 1e-4,
@@ -560,7 +560,7 @@ func BenchmarkSchedulerRound(b *testing.B) {
 		var rounds int64
 		for i := 0; i < b.N; i++ {
 			cfg := sim.Config{
-				MeshW: 16, MeshH: 16,
+				Dims:  []int{16, 16},
 				Alloc: "hilbert/bestfit", Pattern: "nbody",
 				Load: 0.4, TimeScale: 0.01, Seed: 1,
 				Scheduler:   "easy",
@@ -862,7 +862,7 @@ func BenchmarkFaultInjection(b *testing.B) {
 			}
 			b.Run(name, func(b *testing.B) {
 				cfg := sim.Config{
-					MeshW: 16, MeshH: 16,
+					Dims:  []int{16, 16},
 					Alloc: spec, Pattern: "nbody",
 					Load: 0.4, TimeScale: 0.01, Seed: 1,
 				}
@@ -978,7 +978,7 @@ func BenchmarkEndToEndSmall(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := sim.Run(sim.Config{
-			MeshW: 8, MeshH: 8,
+			Dims:  []int{8, 8},
 			Alloc: "hilbert/bestfit", Pattern: "alltoall",
 			TimeScale: 0.01, Seed: 1,
 		}, tr); err != nil {

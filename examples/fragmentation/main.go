@@ -24,7 +24,7 @@ func main() {
 	fmt.Println("allocator          mean frag   worst frag   mean resp (s)")
 	for _, spec := range []string{"hilbert/bestfit", "mc1x1", "random", "scurve"} {
 		res, err := meshalloc.Run(meshalloc.Config{
-			MeshW: 16, MeshH: 16,
+			Dims:      []int{16, 16},
 			Alloc:     spec,
 			Pattern:   "alltoall",
 			Load:      0.4,

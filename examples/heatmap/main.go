@@ -21,7 +21,7 @@ func main() {
 
 	for _, spec := range []string{"hilbert/bestfit", "random"} {
 		res, err := meshalloc.Run(meshalloc.Config{
-			MeshW: 16, MeshH: 16,
+			Dims:      []int{16, 16},
 			Alloc:     spec,
 			Pattern:   "alltoall",
 			Load:      0.4,

@@ -26,7 +26,7 @@ func main() {
 	fmt.Println("load   mean resp (s)   median (s)   mean wait (s)   net avg hops")
 	for _, load := range []float64{1.0, 0.8, 0.6, 0.4, 0.2} {
 		res, err := meshalloc.Run(meshalloc.Config{
-			MeshW: 16, MeshH: 22,
+			Dims:      []int{16, 22},
 			Alloc:     *allocSpec,
 			Pattern:   *pattern,
 			Load:      load,

@@ -35,7 +35,7 @@ func run(jobs int, w io.Writer) error {
 	var ranking []entry
 	for _, spec := range meshalloc.Allocators() {
 		res, err := meshalloc.Run(meshalloc.Config{
-			MeshW: 16, MeshH: 16,
+			Dims:      []int{16, 16},
 			Alloc:     spec,
 			Pattern:   "nbody",
 			Load:      0.2, // 5x load: the regime where allocators separate

@@ -29,7 +29,7 @@ func main() {
 
 func run(jobs int, bursty bool, w io.Writer) error {
 	eng, err := meshalloc.NewEngine(meshalloc.Config{
-		MeshW: 16, MeshH: 16,
+		Dims:    []int{16, 16},
 		Alloc:   "hilbert/bestfit",
 		Pattern: "nbody",
 		Seed:    7,

@@ -29,7 +29,7 @@ func run(jobs int, w io.Writer) error {
 
 	for _, spec := range []string{"hilbert/bestfit", "scurve"} {
 		res, err := meshalloc.Run(meshalloc.Config{
-			MeshW: 16, MeshH: 16,
+			Dims:      []int{16, 16},
 			Alloc:     spec,
 			Pattern:   "alltoall",
 			Load:      0.4,  // pack arrivals 2.5x tighter than traced

@@ -128,6 +128,19 @@ type Allocator interface {
 	Reset()
 }
 
+// ExactSize reports whether a accounts for every processor exactly:
+// its Allocate takes exactly req.Size processors and succeeds whenever
+// req.Size <= NumFree(). Paging, MC, MC1x1, Gen-Alg and Random do. The
+// paged forms strand the tail of a partly used page, and the contiguous
+// baselines (submesh, buddy) can refuse with processors to spare.
+func ExactSize(a Allocator) bool {
+	switch a.(type) {
+	case *Paging, *MC, *GenAlg, *Random:
+		return true
+	}
+	return false
+}
+
 // FaultAware is implemented by allocators that can mask individual
 // nodes out of service for fault injection. A downed node reads as
 // busy to every scoring, scanning and free-count path — candidate

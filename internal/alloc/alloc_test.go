@@ -398,3 +398,89 @@ func min(a, b int) int {
 	}
 	return b
 }
+
+// exactVariants are the exact-size allocator families, in 2-D and 3-D.
+var exactVariants = []struct {
+	name string
+	mk   func() Allocator
+}{
+	{"mc", func() Allocator { return NewMC(topo.New([]int{8, 8})) }},
+	{"mc1x1", func() Allocator { return NewMC1x1(topo.New([]int{8, 8})) }},
+	{"genalg", func() Allocator { return NewGenAlg(topo.New([]int{8, 8})) }},
+	{"random", func() Allocator { return NewRandom(topo.New([]int{8, 8}), 7) }},
+	{"hilbert/bestfit", func() Allocator {
+		a, err := Spec(topo.New([]int{8, 8}), "hilbert/bestfit", 0)
+		if err != nil {
+			panic(err)
+		}
+		return a
+	}},
+	{"mc-3d", func() Allocator { return NewMC(topo.New([]int{4, 4, 4})) }},
+}
+
+// TestAllocateReleaseStream interleaves allocations and releases on
+// every exact-size allocator: each request gets exactly its size in
+// free ids, and the free count always equals the machine minus the
+// live ids — the accounting the engine's free-count audit relies on.
+func TestAllocateReleaseStream(t *testing.T) {
+	for _, v := range exactVariants {
+		t.Run(v.name, func(t *testing.T) {
+			a := v.mk()
+			if !ExactSize(a) {
+				t.Fatalf("ExactSize(%s) = false", v.name)
+			}
+			size := a.NumFree()
+			busy := make([]bool, size)
+			numBusy := 0
+			x := xorshift(11)
+			var live [][]int
+			for round := 0; round < 60; round++ {
+				if free := a.NumFree(); free > 0 && (len(live) == 0 || x.intn(3) != 0) {
+					req := Request{Size: 1 + x.intn(min(free, 9))}
+					ids, err := a.Allocate(req)
+					if err != nil {
+						t.Fatalf("round %d: Allocate(%d) with %d free: %v", round, req.Size, free, err)
+					}
+					if len(ids) != req.Size {
+						t.Fatalf("round %d: %d ids for size %d", round, len(ids), req.Size)
+					}
+					for _, id := range ids {
+						if busy[id] {
+							t.Fatalf("round %d: id %d allocated twice", round, id)
+						}
+						busy[id] = true
+					}
+					numBusy += len(ids)
+					live = append(live, ids)
+				} else if len(live) > 0 {
+					i := x.intn(len(live))
+					a.Release(live[i])
+					for _, id := range live[i] {
+						busy[id] = false
+					}
+					numBusy -= len(live[i])
+					live = append(live[:i], live[i+1:]...)
+				}
+				if a.NumFree() != size-numBusy {
+					t.Fatalf("round %d: NumFree %d, want %d", round, a.NumFree(), size-numBusy)
+				}
+			}
+		})
+	}
+}
+
+// TestExactSizeExcludesWastefulAllocators pins the other side of the
+// predicate: paged forms consume whole pages and the contiguous
+// baselines can refuse with processors free.
+func TestExactSizeExcludesWastefulAllocators(t *testing.T) {
+	g := topo.New([]int{8, 8})
+	for _, spec := range []string{"submesh", "buddy", "hilbert/freelist/page1"} {
+		a, err := Spec(g, spec, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ExactSize(a) {
+			t.Errorf("ExactSize(%s) = true", spec)
+		}
+	}
+}

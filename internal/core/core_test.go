@@ -217,8 +217,8 @@ func TestPaperClaims(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(results) < 9 {
-		t.Fatalf("only %d claims checked, want all 9", len(results))
+	if len(results) != 9 {
+		t.Fatalf("%d claims checked, want all 9", len(results))
 	}
 	for _, r := range results {
 		if !r.Pass {
@@ -235,8 +235,8 @@ func TestCheckScorecard(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(results) < 8 {
-		t.Fatalf("only %d checks ran", len(results))
+	if len(results) != 9 {
+		t.Fatalf("%d checks ran, want 9", len(results))
 	}
 	pass := 0
 	for _, r := range results {
@@ -266,6 +266,32 @@ func TestCheckRejectsReplications(t *testing.T) {
 	}
 	if _, err := Check(Options{Jobs: 50, TimeScale: 0.01, Replications: 1}); err != nil {
 		t.Fatalf("Check with 1 replication: %v", err)
+	}
+}
+
+// TestCheckReportsNineClaimsWithoutData runs the scorecard on a trace
+// too short to put 8 large jobs in the Fig. 9/10 band: both correlation
+// claims must still appear, each failing with an insufficient-data
+// detail, so the card always has nine lines.
+func TestCheckReportsNineClaimsWithoutData(t *testing.T) {
+	results, err := Check(Options{Jobs: 50, TimeScale: 0.01, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(results) != 9 {
+		t.Fatalf("%d claims reported, want 9", len(results))
+	}
+	short := 0
+	for _, r := range results {
+		if strings.Contains(r.Claim, "(fig 9)") || strings.Contains(r.Claim, "(fig 10)") {
+			if r.Pass || !strings.HasPrefix(r.Detail, "insufficient data: only ") {
+				t.Errorf("%s: pass=%v detail %q, want an insufficient-data failure", r.Claim, r.Pass, r.Detail)
+			}
+			short++
+		}
+	}
+	if short != 2 {
+		t.Fatalf("%d Fig. 9/10 claims reported, want 2", short)
 	}
 }
 

@@ -57,7 +57,7 @@ func responseFigure(id, title string, w, h int, o Options) (*Figure, error) {
 	}
 	results, err := runSweep(keys, o, func(k gridKey, rep int, seed int64) (*sim.Result, error) {
 		cfg := sim.Config{
-			MeshW: w, MeshH: h,
+			Dims:      []int{w, h},
 			Alloc:     k.allocSpec,
 			Pattern:   k.pattern,
 			Load:      k.load,
@@ -116,7 +116,7 @@ func largeJobRecords(o Options) ([]sim.JobRecord, error) {
 	tr := newTrace(o, 256)
 	results, err := runGrid(alloc.Specs(), o.Parallelism, func(a string) (*sim.Result, error) {
 		cfg := sim.Config{
-			MeshW: 16, MeshH: 16,
+			Dims:      []int{16, 16},
 			Alloc:     a,
 			Pattern:   "nbody",
 			Load:      1.0,
@@ -209,7 +209,7 @@ func Fig11(o Options) (*Figure, error) {
 	specs := alloc.Fig11Specs()
 	results, err := runGrid(specs, o.Parallelism, func(a string) (*sim.Result, error) {
 		cfg := sim.Config{
-			MeshW: 16, MeshH: 16,
+			Dims:      []int{16, 16},
 			Alloc:     a,
 			Pattern:   "alltoall",
 			Load:      1.0,

@@ -24,7 +24,7 @@ func ExtContiguous(o Options) (*Figure, error) {
 	specs := []string{"buddy", "submesh", "hilbert/bestfit", "mc1x1", "hilbert/freelist/page1"}
 	results, err := runGrid(specs, o.Parallelism, func(spec string) (*sim.Result, error) {
 		return sim.Run(sim.Config{
-			MeshW: 16, MeshH: 16,
+			Dims:      []int{16, 16},
 			Alloc:     spec,
 			Pattern:   "alltoall",
 			Load:      0.4,
@@ -78,7 +78,7 @@ func ExtScheduler(o Options) (*Figure, error) {
 	}
 	results, err := runGrid(keys, o.Parallelism, func(k key) (*sim.Result, error) {
 		return sim.Run(sim.Config{
-			MeshW: 16, MeshH: 16,
+			Dims:      []int{16, 16},
 			Alloc:     k.spec,
 			Pattern:   "alltoall",
 			Load:      0.4,
@@ -135,7 +135,7 @@ func ExtRouting(o Options) (*Figure, error) {
 	}
 	results, err := runGrid(keys, o.Parallelism, func(k key) (*sim.Result, error) {
 		cfg := sim.Config{
-			MeshW: 16, MeshH: 16,
+			Dims:      []int{16, 16},
 			Alloc:     k.spec,
 			Pattern:   "alltoall",
 			Load:      0.4,
@@ -174,7 +174,7 @@ func ExtMixed(o Options) (*Figure, error) {
 	tr := newTrace(o, 256)
 	results, err := runGrid(alloc.Specs(), o.Parallelism, func(spec string) (*sim.Result, error) {
 		return sim.Run(sim.Config{
-			MeshW: 16, MeshH: 16,
+			Dims:      []int{16, 16},
 			Alloc:     spec,
 			Pattern:   "mixed",
 			Load:      0.2,

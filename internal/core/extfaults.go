@@ -60,7 +60,7 @@ func ExtFaults(o Options) (*Figure, error) {
 	results, err := runGrid(keys, o.Parallelism, func(k key) (*sim.Result, error) {
 		lv := levelByName[k.level]
 		cfg := sim.Config{
-			MeshW: 16, MeshH: 16,
+			Dims:      []int{16, 16},
 			Alloc:     k.spec,
 			Pattern:   "nbody",
 			Load:      0.4,

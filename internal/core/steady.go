@@ -60,7 +60,7 @@ func ExtSteady(o Options) (*Figure, error) {
 	}
 	sweep, err := runSweep(keys, o, func(k key, rep int, seed int64) (shard, error) {
 		cfg := sim.Config{
-			MeshW: machineW, MeshH: machineH,
+			Dims:        []int{machineW, machineH},
 			Alloc:       k.spec,
 			Pattern:     "nbody",
 			TimeScale:   o.TimeScale,

@@ -254,6 +254,20 @@ func TestEASYShadowTimeEdges(t *testing.T) {
 			now:     10, free: 0, want: -1, // does not fit in 0 free
 		},
 		{
+			// Releases accumulate in running order: 2 free now, 2 more
+			// at t=10 and 3 at t=20 give the 7-proc head its
+			// reservation at t=20 with nothing extra, so only the job
+			// done by then backfills.
+			name: "releases accumulate to the shadow in EstEnd order",
+			pending: []Pending{
+				{Size: 7, EstRuntime: 50},
+				{Size: 2, EstRuntime: 11},
+				{Size: 2, EstRuntime: 10},
+			},
+			running: []Running{{Size: 2, EstEnd: 10}, {Size: 3, EstEnd: 20}, {Size: 5, EstEnd: 30}},
+			now:     10, free: 2, want: 2,
+		},
+		{
 			// Head itself fits: backfilling logic never engages.
 			name: "head starts before any backfill consideration",
 			pending: []Pending{
@@ -287,30 +301,5 @@ func TestEASYScansPastUnfitCandidates(t *testing.T) {
 	running := []Running{{Size: 4, EstEnd: 100}}
 	if got := p.Pick(pending, 10, 4, running); got != 3 {
 		t.Fatalf("Pick = %d, want 3", got)
-	}
-}
-
-func TestShadowTimeOrdering(t *testing.T) {
-	// Releases accumulate in end order: 2 at t=10, 3 at t=20, 5 at t=30.
-	running := []Running{
-		{Size: 5, EstEnd: 30},
-		{Size: 2, EstEnd: 10},
-		{Size: 3, EstEnd: 20},
-	}
-	shadow, extra := shadowTime(5, 0, running)
-	if shadow != 20 || extra != 0 {
-		t.Fatalf("shadow = %g, extra = %d; want 20, 0", shadow, extra)
-	}
-	shadow, extra = shadowTime(6, 1, running)
-	if shadow != 20 || extra != 0 {
-		t.Fatalf("shadow = %g, extra = %d; want 20, 0", shadow, extra)
-	}
-	shadow, extra = shadowTime(10, 0, running)
-	if shadow != 30 || extra != 0 {
-		t.Fatalf("shadow = %g, extra = %d; want 30, 0", shadow, extra)
-	}
-	// More processors than will ever free up: unsatisfiable.
-	if _, extra = shadowTime(11, 0, running); extra != -1 {
-		t.Fatalf("unsatisfiable reservation extra = %d, want -1", extra)
 	}
 }

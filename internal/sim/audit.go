@@ -89,10 +89,10 @@ func (e *Engine) Audit() error {
 	if slack < 0 {
 		errs = append(errs, violatef("free-count",
 			"machine %d < busy %d + masked %d + free %d", e.grid.Size(), e.busyProcs, e.maskedN, e.allocator.NumFree()))
-	} else if slack > 0 && e.batcher != nil {
-		// Exact-size allocators (the BatchAllocator contract) leave no
-		// internal fragmentation; paged forms legitimately strand the
-		// tail of a partially-used page, so only slack < 0 is wrong there.
+	} else if slack > 0 && alloc.ExactSize(e.allocator) {
+		// Exact-size allocators leave no internal fragmentation; paged
+		// forms legitimately strand the tail of a partially-used page,
+		// so only slack < 0 is wrong there.
 		errs = append(errs, violatef("free-count",
 			"%d processors unaccounted for (machine %d, busy %d, masked %d, free %d)",
 			slack, e.grid.Size(), e.busyProcs, e.maskedN, e.allocator.NumFree()))

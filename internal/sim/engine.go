@@ -152,20 +152,12 @@ type Engine struct {
 	cfg       Config
 	grid      *topo.Grid
 	allocator alloc.Allocator
-	// batcher is non-nil when the allocator supports batch allocation;
-	// the FCFS dispatch then serves each runnable queue prefix in one
-	// call. Results are bit-identical to one-at-a-time dispatch (see
-	// scheduleFCFSBatch); tests null it out to compare both paths.
-	batcher alloc.BatchAllocator
-	pattern comm.Pattern
-	policy  sched.Policy
-	// sorted is non-nil when the policy exploits the end-time-ordered
-	// running index (EASY); used only on the incremental path.
-	sorted sched.SortedPolicy
-	isFCFS bool
-	isSJF  bool
-	net    *netsim.Network
-	rng    *stats.RNG
+	pattern   comm.Pattern
+	policy    sched.Policy
+	isFCFS    bool
+	isSJF     bool
+	net       *netsim.Network
+	rng       *stats.RNG
 
 	events eventHeap
 	seq    int64
@@ -194,7 +186,6 @@ type Engine struct {
 	// arrival under SJF, an arrival into an empty queue under FCFS).
 	// EASY never blocks — its backfill decisions depend on the clock.
 	pendBuf   []sched.Pending
-	reqBuf    []alloc.Request
 	runOrd    []sched.Running
 	runOrdH   []int32
 	trackPend bool
@@ -272,11 +263,10 @@ type Engine struct {
 // and the clock at zero.
 func NewEngine(cfg Config) (*Engine, error) {
 	cfg = cfg.withDefaults()
-	dims := cfg.dims()
-	if len(dims) < 1 || len(dims) > topo.MaxDims {
-		return nil, fmt.Errorf("sim: machine needs 1..%d dimensions, got %d", topo.MaxDims, len(dims))
+	if len(cfg.Dims) < 1 || len(cfg.Dims) > topo.MaxDims {
+		return nil, fmt.Errorf("sim: machine needs 1..%d dimensions, got %d", topo.MaxDims, len(cfg.Dims))
 	}
-	for i, d := range dims {
+	for i, d := range cfg.Dims {
 		if d <= 0 {
 			return nil, fmt.Errorf("sim: invalid machine extent %d on axis %d", d, i)
 		}
@@ -286,9 +276,9 @@ func NewEngine(cfg Config) (*Engine, error) {
 	}
 	var m *topo.Grid
 	if cfg.Torus {
-		m = topo.NewTorus(dims)
+		m = topo.NewTorus(cfg.Dims)
 	} else {
-		m = topo.New(dims)
+		m = topo.New(cfg.Dims)
 	}
 	allocator, err := alloc.Spec(m, cfg.Alloc, cfg.Seed)
 	if err != nil {
@@ -307,12 +297,10 @@ func NewEngine(cfg Config) (*Engine, error) {
 	if cfg.AuditEvery < 0 {
 		return nil, fmt.Errorf("sim: AuditEvery must be >= 0, got %d", cfg.AuditEvery)
 	}
-	batcher, _ := allocator.(alloc.BatchAllocator)
 	e := &Engine{
 		cfg:        cfg,
 		grid:       m,
 		allocator:  allocator,
-		batcher:    batcher,
 		pattern:    pattern,
 		net:        netsim.New(m, cfg.Net),
 		rng:        stats.NewRNG(cfg.Seed),
@@ -329,17 +317,15 @@ func NewEngine(cfg Config) (*Engine, error) {
 }
 
 // setPolicy installs the scheduling policy and derives the dispatch
-// paths it admits from its concrete type: FCFS only ever inspects the
-// queue head (no mirrors, batch dispatch), FCFS and SJF may arm the
-// head-blocked watermark, and a SortedPolicy reads the end-time-ordered
-// running index directly. Any other policy takes the general path: one
-// Pick per round over the incrementally maintained mirrors. It must run
-// before the first job is queued.
+// path it admits from its concrete type: FCFS only ever inspects the
+// queue head (no mirrors), and FCFS and SJF may arm the head-blocked
+// watermark. Every other policy makes one Pick per round over the
+// incrementally maintained mirrors. It must run before the first job
+// is queued.
 func (e *Engine) setPolicy(p sched.Policy) {
 	_, e.isFCFS = p.(sched.FCFS)
 	_, e.isSJF = p.(sched.SJF)
 	e.policy = p
-	e.sorted, _ = p.(sched.SortedPolicy)
 	e.trackPend = !e.isFCFS
 	e.trackRun = !e.isFCFS
 	e.canBlock = e.isFCFS || e.isSJF
@@ -639,23 +625,6 @@ func (e *Engine) Step() bool {
 		e.core.Arrivals++
 		wasEmpty := e.Pending() == 0
 		e.enqueue(e.takeArrival(ev.h))
-		if e.isFCFS {
-			// Drain every same-timestamp arrival at the head of the queue
-			// before scheduling once, so simultaneous arrivals dispatch
-			// as one batch. Under FCFS this is bit-identical to
-			// scheduling after each arrival: the drain stops at any
-			// earlier-sequenced non-arrival event, queue order is
-			// arrival order either way, and the combined trySchedule
-			// starts the same jobs in the same order consuming the RNG
-			// identically. Policies that inspect the whole queue (SJF)
-			// keep per-arrival scheduling.
-			for len(e.events) > 0 && e.events[0].t == ev.t && e.events[0].kind == kindArrival {
-				next := e.events.pop()
-				e.core.Events++
-				e.core.Arrivals++
-				e.enqueue(e.takeArrival(next.h))
-			}
-		}
 		// A new arrival re-arms a blocked FCFS round only when it
 		// becomes the head (empty queue); under SJF any arrival can
 		// change the pick.
@@ -1031,25 +1000,16 @@ func (e *Engine) trySchedule(now float64) {
 		return
 	}
 	e.core.SchedRounds++
-	if e.isFCFS && e.batcher != nil {
-		e.scheduleFCFSBatch(now)
-		return
-	}
 	for {
-		var pick int
-		switch {
-		case e.isFCFS:
-			// Fast path: strict FCFS only ever inspects the head.
-			pick = -1
+		pick := -1
+		if e.isFCFS {
+			// Strict FCFS only ever inspects the head.
 			if q := e.pending(); len(q) > 0 && q[0].Size <= e.allocator.NumFree() {
 				pick = 0
 			}
-		case e.sorted != nil:
+		} else {
 			// pendBuf mirrors the queue and runOrd is already (EstEnd,
-			// handle)-sorted, so the round costs one policy scan and
-			// nothing else.
-			pick = e.sorted.PickSorted(e.pendBuf, now, e.allocator.NumFree(), e.runOrd)
-		default:
+			// handle)-sorted, so the round costs one policy scan.
 			pick = e.policy.Pick(e.pendBuf, now, e.allocator.NumFree(), e.runOrd)
 		}
 		if pick < 0 {
@@ -1073,59 +1033,6 @@ func (e *Engine) trySchedule(now float64) {
 		e.dequeueAt(pick)
 		e.startJob(job, nodes, now)
 	}
-}
-
-// scheduleFCFSBatch dispatches the runnable FCFS queue prefix in one
-// AllocateBatch call. The BatchAllocator contract (exact-size
-// consumption, success whenever size <= NumFree) makes the cumulative
-// size check below exactly the head-fits rule the sequential loop
-// applies after each allocation, and AllocateBatch is defined as the
-// in-order sequence of Allocates, so the jobs started, their node sets,
-// the RNG consumption, and the relative event order are all identical
-// to the one-at-a-time loop — pinned by the golden digests and the
-// batch equivalence suite.
-func (e *Engine) scheduleFCFSBatch(now float64) {
-	q := e.pending()
-	free := e.allocator.NumFree()
-	n := 0
-	for n < len(q) && q[n].Size <= free {
-		free -= q[n].Size
-		n++
-	}
-	if n == 0 {
-		e.block()
-		return
-	}
-	if n == 1 {
-		// Single-job rounds skip the batch call and its result slice —
-		// the common steady-state case stays zero-alloc.
-		job := q[0]
-		nodes, err := e.allocator.Allocate(alloc.Request{Size: job.Size})
-		if err != nil {
-			panic(fmt.Sprintf("sim: batch allocator %s refused %d procs with %d free: %v",
-				e.allocator.Name(), job.Size, e.allocator.NumFree(), err))
-		}
-		e.dropHead(1)
-		e.startJob(job, nodes, now)
-		e.block()
-		return
-	}
-	e.reqBuf = e.reqBuf[:0]
-	for i := 0; i < n; i++ {
-		e.reqBuf = append(e.reqBuf, alloc.Request{Size: q[i].Size})
-	}
-	batch, err := e.batcher.AllocateBatch(e.reqBuf)
-	if err != nil || len(batch) != n {
-		panic(fmt.Sprintf("sim: batch allocator %s served %d of %d requests with %d free: %v",
-			e.allocator.Name(), len(batch), n, e.allocator.NumFree(), err))
-	}
-	for i := 0; i < n; i++ {
-		e.startJob(q[i], batch[i], now)
-	}
-	e.dropHead(n)
-	// n was the maximal runnable prefix, so the remaining head (if any)
-	// exceeds the remaining free count: the round ends blocked.
-	e.block()
 }
 
 // startJob registers an allocated job: claim a store handle, draw its
@@ -1252,9 +1159,6 @@ func (e *Engine) step(h int32, now float64) event {
 	burst := int64(1)
 	if e.cfg.Issue == IssuePhased {
 		burst = math.MaxInt64 // until phase boundary
-	}
-	if e.cfg.MaxPhase > 0 && burst > int64(e.cfg.MaxPhase) {
-		burst = int64(e.cfg.MaxPhase)
 	}
 	maxArr := now
 	var issued int64

@@ -20,7 +20,7 @@ func faultTrace(jobs, maxSize int) *trace.Trace {
 // repaired machine. Every fault counter must line up.
 func TestFaultScriptKillAndRetry(t *testing.T) {
 	cfg := Config{
-		MeshW: 8, MeshH: 8,
+		Dims:  []int{8, 8},
 		Alloc: "hilbert/bestfit", Pattern: "nbody", Seed: 1,
 		Faults: fault.Config{Script: []fault.Event{
 			{T: 5, Node: 0, Kind: fault.NodeDown},
@@ -70,7 +70,7 @@ func TestFaultScriptKillAndRetry(t *testing.T) {
 // and the run still terminates cleanly.
 func TestFaultGiveUp(t *testing.T) {
 	cfg := Config{
-		MeshW: 8, MeshH: 8,
+		Dims:  []int{8, 8},
 		Alloc: "mc1x1", Pattern: "nbody", Seed: 1,
 		Faults: fault.Config{Script: []fault.Event{
 			{T: 5, Node: 0, Kind: fault.NodeDown},
@@ -103,7 +103,7 @@ func TestFaultGiveUp(t *testing.T) {
 // job placed away from node 0 still runs.
 func TestFaultMaxAttempts(t *testing.T) {
 	cfg := Config{
-		MeshW: 4, MeshH: 4,
+		Dims:  []int{4, 4},
 		Alloc: "hilbert/bestfit", Pattern: "nbody", Seed: 1,
 		Faults: fault.Config{Script: []fault.Event{
 			{T: 1, Node: 2, Kind: fault.NodeDown},
@@ -139,7 +139,7 @@ func TestFaultMaskExcludesDownNodes(t *testing.T) {
 	for _, spec := range []string{"hilbert/bestfit", "scurve", "mc", "mc1x1", "genalg", "random"} {
 		t.Run(spec, func(t *testing.T) {
 			cfg := Config{
-				MeshW: 8, MeshH: 8,
+				Dims:  []int{8, 8},
 				Alloc: spec, Pattern: "nbody", Seed: 1,
 				Faults: fault.Config{Script: []fault.Event{
 					{T: 0, Node: 27, Kind: fault.NodeDown},
@@ -182,7 +182,7 @@ func TestFaultMaskExcludesDownNodes(t *testing.T) {
 // new work until undrained.
 func TestFaultDrainLetsJobsFinish(t *testing.T) {
 	cfg := Config{
-		MeshW: 4, MeshH: 4,
+		Dims:  []int{4, 4},
 		Alloc: "hilbert/bestfit", Pattern: "nbody", Seed: 1,
 		Faults: fault.Config{Script: []fault.Event{
 			{T: 5, Node: 0, Kind: fault.NodeDrain},
@@ -209,7 +209,7 @@ func TestFaultDrainLetsJobsFinish(t *testing.T) {
 // *OversizeError matching the ErrOversize sentinel — fail fast instead
 // of deadlocking at Drain.
 func TestOversizeTypedError(t *testing.T) {
-	e, err := NewEngine(Config{MeshW: 4, MeshH: 4, Alloc: "hilbert/bestfit", Pattern: "nbody"})
+	e, err := NewEngine(Config{Dims: []int{4, 4}, Alloc: "hilbert/bestfit", Pattern: "nbody"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -230,7 +230,7 @@ func TestOversizeTypedError(t *testing.T) {
 // jobs larger than the currently available node count.
 func TestStrictCapacitySubmit(t *testing.T) {
 	cfg := Config{
-		MeshW: 4, MeshH: 4,
+		Dims:  []int{4, 4},
 		Alloc: "hilbert/bestfit", Pattern: "nbody", Seed: 1,
 		Faults: fault.Config{
 			StrictCapacity: true,
@@ -279,7 +279,7 @@ func TestFaultAllocatorGate(t *testing.T) {
 	}
 	for spec, want := range accepted {
 		cfg := Config{
-			MeshW: 8, MeshH: 8,
+			Dims:  []int{8, 8},
 			Alloc: spec, Pattern: "nbody",
 			Faults: fault.Config{MTBF: fault.Dist{Kind: fault.DistExponential, Mean: 100}},
 		}
@@ -299,7 +299,7 @@ func TestFaultAllocatorGate(t *testing.T) {
 // long job keeps getting unlucky.
 func faultyCfg(alloc string) Config {
 	return Config{
-		MeshW: 8, MeshH: 8,
+		Dims:  []int{8, 8},
 		Alloc: alloc, Pattern: "nbody",
 		Load: 0.4, TimeScale: 0.01, Seed: 1,
 		Faults: fault.Config{
@@ -387,11 +387,7 @@ func TestFaultsDisabledMatchesGolden(t *testing.T) {
 
 // TestFaultDeltaMirror: delta observers see mask/unmask transitions as
 // allocate/release deltas, so an external mirror of the free count
-// stays in lockstep with the allocator through a faulty run. As in
-// TestDeltaObserverMirrorsOccupancy, batch dispatch lets the allocator
-// run ahead of the per-job allocate deltas, so instantaneous agreement
-// is only checked at releases (which mask/unmask events also are) and
-// at the end of the run.
+// stays in lockstep with the allocator at every delta of a faulty run.
 func TestFaultDeltaMirror(t *testing.T) {
 	cfg := faultyCfg("hilbert/bestfit")
 	e, err := NewEngine(cfg)
@@ -405,9 +401,9 @@ func TestFaultDeltaMirror(t *testing.T) {
 			free -= len(ids)
 		} else {
 			free += len(ids)
-			if free != e.NumFree() {
-				bad = true
-			}
+		}
+		if free != e.NumFree() {
+			bad = true
 		}
 	})
 	for _, j := range faultTrace(150, 32).Jobs {
@@ -417,7 +413,7 @@ func TestFaultDeltaMirror(t *testing.T) {
 	}
 	e.Drain()
 	if bad {
-		t.Fatal("delta mirror diverged from allocator free count at a release")
+		t.Fatal("delta mirror diverged from allocator free count")
 	}
 	if free != e.NumFree() {
 		t.Fatalf("final mirror %d != NumFree %d", free, e.NumFree())

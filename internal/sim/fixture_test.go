@@ -36,7 +36,7 @@ const (
 // -mtbf exp:300000 -mttr exp:10000 -retry backoff:60,3600,4.
 func fixtureRun() (Config, *trace.Trace) {
 	cfg := Config{
-		MeshW: 16, MeshH: 16,
+		Dims:  []int{16, 16},
 		Alloc: "hilbert/bestfit", Pattern: "nbody",
 		Load: 0.4, TimeScale: 0.01, Seed: 1,
 		KeepRecords: Discard,

@@ -46,14 +46,14 @@ var goldenCases = []struct {
 }{
 	{
 		name: "fig7-16x22-alltoall-hilbert",
-		cfg: Config{MeshW: 16, MeshH: 22, Alloc: "hilbert/bestfit", Pattern: "alltoall",
+		cfg: Config{Dims: []int{16, 22}, Alloc: "hilbert/bestfit", Pattern: "alltoall",
 			Load: 0.2, TimeScale: 0.01, Seed: 1},
 		jobs: 300, max: 352,
 		digest: "8f7442e91d71fb78",
 	},
 	{
 		name: "fig8-16x16-nbody-mc1x1",
-		cfg: Config{MeshW: 16, MeshH: 16, Alloc: "mc1x1", Pattern: "nbody",
+		cfg: Config{Dims: []int{16, 16}, Alloc: "mc1x1", Pattern: "nbody",
 			Load: 0.4, TimeScale: 0.01, Seed: 1},
 		jobs: 300, max: 256,
 		digest: "6cddb4f3b87c185e",
@@ -67,7 +67,7 @@ var goldenCases = []struct {
 	},
 	{
 		name: "easy-16x16-alltoall-hilbert",
-		cfg: Config{MeshW: 16, MeshH: 16, Alloc: "hilbert/bestfit", Pattern: "alltoall",
+		cfg: Config{Dims: []int{16, 16}, Alloc: "hilbert/bestfit", Pattern: "alltoall",
 			Load: 0.4, TimeScale: 0.01, Seed: 1, Scheduler: "easy"},
 		jobs: 300, max: 256,
 		digest: "8c0bc3cd16040603",
@@ -76,14 +76,14 @@ var goldenCases = []struct {
 		// SJF re-picks from the whole queue and re-arms its head-blocked
 		// watermark on every arrival; the queue stays ~10 jobs deep.
 		name: "sjf-16x16-alltoall-mc",
-		cfg: Config{MeshW: 16, MeshH: 16, Alloc: "mc", Pattern: "alltoall",
+		cfg: Config{Dims: []int{16, 16}, Alloc: "mc", Pattern: "alltoall",
 			Load: 0.4, TimeScale: 0.01, Seed: 1, Scheduler: "sjf"},
 		jobs: 300, max: 256,
 		digest: "ece01d70662acdf0",
 	},
 	{
 		name: "seq-16x22-random-scurve",
-		cfg: Config{MeshW: 16, MeshH: 22, Alloc: "scurve", Pattern: "random",
+		cfg: Config{Dims: []int{16, 22}, Alloc: "scurve", Pattern: "random",
 			Load: 0.6, TimeScale: 0.01, Seed: 1, Issue: IssueSequential},
 		jobs: 200, max: 352,
 		digest: "172a9d1ff350573c",
@@ -146,8 +146,8 @@ func TestGoldenDigestsAcrossEventCoreToggles(t *testing.T) {
 
 // opaquePolicy hides a policy's concrete type from the engine: it
 // exposes only Name and Pick, so setPolicy derives the general dispatch
-// path — no FCFS head fast path, no batch dispatch or same-time arrival
-// draining, no PickSorted, no head-blocked watermark.
+// path — one Pick per round over the mirrors, with no FCFS head check
+// and no head-blocked watermark.
 type opaquePolicy struct{ sched.Policy }
 
 // runReference is Run on the scheduler reference path: the configured
@@ -181,9 +181,8 @@ func runReference(t *testing.T, cfg Config, tr *trace.Trace) *Result {
 // TestSchedulerReferenceGoldenDigests runs every golden case under FCFS,
 // EASY and SJF on both the production scheduler paths and the
 // reference path, and requires identical digests — equal to the pinned
-// one under the case's own scheduler. The fast paths (head-only FCFS,
-// batch dispatch, PickSorted, the head-blocked watermark) must be pure
-// performance changes.
+// one under the case's own scheduler. The fast paths (head-only FCFS
+// and the head-blocked watermark) must be pure performance changes.
 func TestSchedulerReferenceGoldenDigests(t *testing.T) {
 	for _, tc := range goldenCases {
 		own := tc.cfg.withDefaults().Scheduler
@@ -217,11 +216,11 @@ func TestScoringAllocatorGoldenDigests(t *testing.T) {
 		max    int
 		digest string
 	}{
-		{"mc-16x16-alltoall", Config{MeshW: 16, MeshH: 16, Alloc: "mc", Pattern: "alltoall",
+		{"mc-16x16-alltoall", Config{Dims: []int{16, 16}, Alloc: "mc", Pattern: "alltoall",
 			Load: 0.4, TimeScale: 0.01, Seed: 1}, 256, "4a6844ce35fdb68f"},
-		{"mc-16x22-alltoall", Config{MeshW: 16, MeshH: 22, Alloc: "mc", Pattern: "alltoall",
+		{"mc-16x22-alltoall", Config{Dims: []int{16, 22}, Alloc: "mc", Pattern: "alltoall",
 			Load: 0.4, TimeScale: 0.01, Seed: 1}, 352, "adb8817050237e77"},
-		{"genalg-16x16-nbody", Config{MeshW: 16, MeshH: 16, Alloc: "genalg", Pattern: "nbody",
+		{"genalg-16x16-nbody", Config{Dims: []int{16, 16}, Alloc: "genalg", Pattern: "nbody",
 			Load: 0.4, TimeScale: 0.01, Seed: 1}, 256, "5bdb293fc187eb34"},
 		{"genalg-8x8x8-nbody", Config{Dims: []int{8, 8, 8}, Alloc: "genalg", Pattern: "nbody",
 			Load: 0.2, TimeScale: 0.01, Seed: 1}, 512, "3d2a8cef42b929bf"},

@@ -159,7 +159,7 @@ func TestFaultFirstTieRule(t *testing.T) {
 	})
 	t.Run("engine", func(t *testing.T) {
 		job := trace.Job{ID: 1, Size: 16, Arrival: 0, Runtime: 50}
-		cfg := Config{MeshW: 8, MeshH: 8, Alloc: "hilbert/bestfit", Pattern: "nbody", Seed: 1}
+		cfg := Config{Dims: []int{8, 8}, Alloc: "hilbert/bestfit", Pattern: "nbody", Seed: 1}
 		calm, err := Run(cfg, &trace.Trace{Jobs: []trace.Job{job}})
 		if err != nil {
 			t.Fatal(err)
@@ -186,7 +186,7 @@ func TestFaultFirstTieRule(t *testing.T) {
 // a steady-state live step is processed at the heap root and its next
 // step replaces the root in place.
 func TestFusedStepZeroAlloc(t *testing.T) {
-	e, err := NewEngine(Config{MeshW: 8, MeshH: 8, Alloc: "hilbert/bestfit", Pattern: "nbody", Seed: 1,
+	e, err := NewEngine(Config{Dims: []int{8, 8}, Alloc: "hilbert/bestfit", Pattern: "nbody", Seed: 1,
 		KeepRecords: Discard, KeepNodes: Discard})
 	if err != nil {
 		t.Fatal(err)

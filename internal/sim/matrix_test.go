@@ -23,7 +23,7 @@ func TestAllocatorPatternMatrix(t *testing.T) {
 	for _, spec := range specs {
 		for _, pattern := range comm.All() {
 			cfg := Config{
-				MeshW: 8, MeshH: 8,
+				Dims:      []int{8, 8},
 				Alloc:     spec,
 				Pattern:   pattern,
 				TimeScale: 0.01,
@@ -65,7 +65,7 @@ func TestSeedSensitivity(t *testing.T) {
 	var responses []float64
 	for seed := int64(1); seed <= 4; seed++ {
 		cfg := Config{
-			MeshW: 8, MeshH: 8,
+			Dims:      []int{8, 8},
 			Alloc:     "hilbert/bestfit",
 			Pattern:   "random",
 			TimeScale: 0.01,

@@ -73,15 +73,10 @@ func (p KeepPolicy) String() string {
 
 // Config describes one simulation run.
 type Config struct {
-	// MeshW, MeshH are the machine dimensions (paper: 16x22 and 16x16).
-	// They are the 2-D compatibility path: when Dims is empty the
-	// machine is the MeshW x MeshH mesh, exactly as before the topology
-	// layer became dimension-generic.
-	MeshW, MeshH int
-	// Dims, when non-empty, gives the machine extents axis by axis and
-	// overrides MeshW/MeshH — e.g. []int{8, 8, 8} simulates the 8x8x8
-	// 3-D mesh CPlant physically was. Allocators, routing and link
-	// accounting all run natively in n dimensions.
+	// Dims gives the machine extents axis by axis: []int{16, 22} and
+	// []int{16, 16} are the paper's meshes, []int{8, 8, 8} the 3-D mesh
+	// CPlant physically was. Allocators, routing and link accounting
+	// all run natively in n dimensions.
 	Dims []int
 	// Torus adds wraparound links (the paper's machines are plain
 	// meshes; torus mode is an extension for other topologies).
@@ -107,9 +102,6 @@ type Config struct {
 	Issue IssueMode
 	// MsgsPerSecond converts traced runtime to message quota (paper: 1).
 	MsgsPerSecond float64
-	// MaxPhase caps messages issued per event to bound event sizes for
-	// enormous all-to-all phases; 0 means no cap.
-	MaxPhase int
 	// KeepRecords selects whether Result.Records accumulates every
 	// per-job record (Keep, default) or records only stream to
 	// observers (Discard). Discard bounds memory for million-job runs;
@@ -165,15 +157,6 @@ func (c Config) withDefaults() Config {
 		c.MsgsPerSecond = 1
 	}
 	return c
-}
-
-// dims resolves the machine extents: Dims when given, the MeshW x MeshH
-// compatibility pair otherwise.
-func (c Config) dims() []int {
-	if len(c.Dims) > 0 {
-		return c.Dims
-	}
-	return []int{c.MeshW, c.MeshH}
 }
 
 // JobRecord is the per-job outcome, in original (un-time-scaled) seconds.

@@ -3,6 +3,7 @@ package sim
 import (
 	"math"
 	"reflect"
+	"strings"
 	"testing"
 
 	"meshalloc/internal/netsim"
@@ -21,7 +22,7 @@ func tinyTrace() *trace.Trace {
 
 func baseConfig() Config {
 	return Config{
-		MeshW: 8, MeshH: 8,
+		Dims:    []int{8, 8},
 		Alloc:   "hilbert/bestfit",
 		Pattern: "alltoall",
 		Seed:    1,
@@ -273,26 +274,6 @@ func TestRecordsMetricsPopulated(t *testing.T) {
 	}
 }
 
-func TestMaxPhaseCapsBursts(t *testing.T) {
-	// With MaxPhase 1 every message is its own burst; results still
-	// complete and runtimes lengthen relative to unlimited phases.
-	tr := &trace.Trace{Jobs: []trace.Job{{ID: 0, Arrival: 0, Size: 12, Runtime: 100}}}
-	free, err := Run(baseConfig(), tr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := baseConfig()
-	cfg.MaxPhase = 1
-	capped, err := Run(cfg, tr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if capped.Records[0].RunTime < free.Records[0].RunTime {
-		t.Fatalf("capped bursts should not be faster: %g vs %g",
-			capped.Records[0].RunTime, free.Records[0].RunTime)
-	}
-}
-
 func TestCustomNetworkConfigUsed(t *testing.T) {
 	tr := &trace.Trace{Jobs: []trace.Job{{ID: 0, Arrival: 0, Size: 8, Runtime: 50}}}
 	slow := baseConfig()
@@ -494,28 +475,12 @@ func TestIssueModeString(t *testing.T) {
 	}
 }
 
-// TestDimsCompatibilityPath pins the 2-D compatibility contract of the
-// dimension-generic topology layer: Dims{w, h} and MeshW/MeshH describe
-// the same machine and must produce byte-for-byte identical results.
-func TestDimsCompatibilityPath(t *testing.T) {
-	legacy := baseConfig()
-	legacy.Pattern = "nbody"
-	viaDims := legacy
-	viaDims.MeshW, viaDims.MeshH = 0, 0
-	viaDims.Dims = []int{8, 8}
-	r1, err := Run(legacy, tinyTrace())
-	if err != nil {
-		t.Fatal(err)
-	}
-	r2, err := Run(viaDims, tinyTrace())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(r1.Records, r2.Records) {
-		t.Fatal("Dims{8,8} diverges from MeshW/MeshH 8x8")
-	}
-	if r1.MeanResponse != r2.MeanResponse || r1.Net != r2.Net {
-		t.Fatal("summary metrics diverge between Dims and MeshW/MeshH")
+// TestNewEngineRejectsEmptyDims pins that Dims is required: a Config
+// that names no machine fails with the dimension error, not a panic.
+func TestNewEngineRejectsEmptyDims(t *testing.T) {
+	_, err := NewEngine(Config{Alloc: "hilbert", Pattern: "nbody", Seed: 1})
+	if err == nil || !strings.Contains(err.Error(), "dimensions, got 0") {
+		t.Fatalf("NewEngine with empty Dims: err = %v, want the dimension error", err)
 	}
 }
 

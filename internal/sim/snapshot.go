@@ -31,10 +31,12 @@ var ErrConfigMismatch = errors.New("sim: snapshot was taken under a different co
 // Config field leaves every fingerprint, and every saved snapshot, valid.
 func cfgFingerprint(cfg Config) uint64 {
 	h := fnv.New64a()
+	// The literal 0 fills the slot of the deleted MaxPhase message cap
+	// (production never set it), so saved snapshots keep their hashes.
 	fmt.Fprintf(h, "%v|%v|%s|%s|%v|%v|%d|%+v|%s|%d|%v|%d|%d|%d|%+v|%+v",
-		cfg.dims(), cfg.Torus, cfg.Alloc, cfg.Pattern, cfg.Load, cfg.TimeScale,
+		cfg.Dims, cfg.Torus, cfg.Alloc, cfg.Pattern, cfg.Load, cfg.TimeScale,
 		cfg.Seed, cfg.Net, cfg.Scheduler, cfg.Issue, cfg.MsgsPerSecond,
-		cfg.MaxPhase, cfg.KeepRecords, cfg.KeepNodes, cfg.Faults, cfg.Retry)
+		0, cfg.KeepRecords, cfg.KeepNodes, cfg.Faults, cfg.Retry)
 	return h.Sum64()
 }
 

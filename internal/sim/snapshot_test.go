@@ -8,6 +8,7 @@ import (
 	"strings"
 	"testing"
 
+	"meshalloc/internal/alloc"
 	"meshalloc/internal/snap"
 	"meshalloc/internal/trace"
 )
@@ -25,7 +26,7 @@ var resumeCases = []struct {
 }{
 	{
 		name: "hilbert-alltoall",
-		cfg: Config{MeshW: 16, MeshH: 22, Alloc: "hilbert/bestfit", Pattern: "alltoall",
+		cfg: Config{Dims: []int{16, 22}, Alloc: "hilbert/bestfit", Pattern: "alltoall",
 			Load: 0.2, TimeScale: 0.01, Seed: 1},
 		tr: func() *trace.Trace {
 			return trace.NewSDSC(trace.SDSCConfig{Jobs: 120, MaxSize: 352, Seed: 1}).FilterMaxSize(352)
@@ -33,7 +34,7 @@ var resumeCases = []struct {
 	},
 	{
 		name: "random-pattern-random-alloc",
-		cfg: Config{MeshW: 16, MeshH: 16, Alloc: "random", Pattern: "random",
+		cfg: Config{Dims: []int{16, 16}, Alloc: "random", Pattern: "random",
 			Load: 0.4, TimeScale: 0.01, Seed: 7},
 		tr: func() *trace.Trace {
 			return trace.NewSDSC(trace.SDSCConfig{Jobs: 120, MaxSize: 256, Seed: 2}).FilterMaxSize(256)
@@ -41,7 +42,7 @@ var resumeCases = []struct {
 	},
 	{
 		name: "easy-nextfit",
-		cfg: Config{MeshW: 16, MeshH: 16, Alloc: "hilbert/nextfit", Pattern: "nbody",
+		cfg: Config{Dims: []int{16, 16}, Alloc: "hilbert/nextfit", Pattern: "nbody",
 			Load: 0.4, TimeScale: 0.01, Seed: 1, Scheduler: "easy"},
 		tr: func() *trace.Trace {
 			return trace.NewSDSC(trace.SDSCConfig{Jobs: 120, MaxSize: 256, Seed: 3}).FilterMaxSize(256)
@@ -222,7 +223,7 @@ func TestSnapshotRestoresPermutedEventBlock(t *testing.T) {
 // source, and require the streamed records to match the uninterrupted
 // run record for record.
 func TestSnapshotResumeOpenSystem(t *testing.T) {
-	cfg := Config{MeshW: 8, MeshH: 8, Alloc: "hilbert/bestfit", Pattern: "nbody",
+	cfg := Config{Dims: []int{8, 8}, Alloc: "hilbert/bestfit", Pattern: "nbody",
 		TimeScale: 0.01, Seed: 5, KeepRecords: Discard, KeepNodes: Discard}
 	const jobs = 200
 	mkSource := func() trace.Source {
@@ -362,7 +363,7 @@ func TestRestoreRejectsDamage(t *testing.T) {
 // a panic, and any input accepted as valid yields an engine whose
 // invariants audit clean and that can step without crashing.
 func FuzzRestoreEngine(f *testing.F) {
-	cfg := Config{MeshW: 8, MeshH: 8, Alloc: "mc1x1", Pattern: "nbody",
+	cfg := Config{Dims: []int{8, 8}, Alloc: "mc1x1", Pattern: "nbody",
 		Load: 0.4, TimeScale: 0.01, Seed: 1}
 	cfgF := faultyCfg("mc1x1")
 	tr := faultTrace(60, 32)
@@ -464,7 +465,7 @@ func TestPeriodicAudit(t *testing.T) {
 		t.Fatalf("AuditEvery changed outputs: %s vs %s", g, w)
 	}
 
-	if _, err := NewEngine(Config{MeshW: 8, MeshH: 8, Alloc: "mc1x1", Pattern: "nbody", AuditEvery: -1}); err == nil {
+	if _, err := NewEngine(Config{Dims: []int{8, 8}, Alloc: "mc1x1", Pattern: "nbody", AuditEvery: -1}); err == nil {
 		t.Fatal("negative AuditEvery accepted")
 	}
 }
@@ -539,6 +540,58 @@ func TestAuditDetectsCorruption(t *testing.T) {
 	})
 	check("arrival-slot-leaked", "arrival-slot", func(e *Engine) {
 		e.arrivals = append(e.arrivals, trace.Job{})
+	})
+}
+
+// TestAuditFreeCountCatchesLeaks leaks processors from each exact-size
+// allocator behind the engine's back and requires the strict free-count
+// check to report them. A paged allocator legitimately strands the
+// tails of partly used pages, so the same run audits clean under it
+// even while processors sit unaccounted for.
+func TestAuditFreeCountCatchesLeaks(t *testing.T) {
+	tr := burstTrace(60, 256, 500)
+	start := func(t *testing.T, spec string) *Engine {
+		e, err := NewEngine(Config{Dims: []int{16, 16}, Alloc: spec, Pattern: "nbody",
+			Load: 0.4, TimeScale: 0.01, Seed: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, j := range tr.Jobs {
+			if err := e.Submit(j); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return e
+	}
+	for _, spec := range []string{"hilbert/bestfit", "mc", "mc1x1", "genalg", "random"} {
+		t.Run(spec, func(t *testing.T) {
+			e := start(t, spec)
+			for i := 0; i < 200; i++ {
+				e.Step()
+			}
+			if err := e.Audit(); err != nil {
+				t.Fatalf("healthy engine failed audit: %v", err)
+			}
+			if _, err := e.allocator.Allocate(alloc.Request{Size: 1}); err != nil {
+				t.Fatal(err)
+			}
+			if err := e.Audit(); err == nil || !strings.Contains(err.Error(), `"free-count"`) {
+				t.Fatalf("leaked processor: audit = %v, want a free-count violation", err)
+			}
+		})
+	}
+	t.Run("hilbert/bestfit/page1", func(t *testing.T) {
+		e := start(t, "hilbert/bestfit/page1")
+		stranded := 0
+		for e.Step() {
+			if err := e.Audit(); err != nil {
+				t.Fatalf("paged run failed audit at t=%v: %v", e.Now(), err)
+			}
+			stranded = max(stranded, e.MachineSize()-e.busyProcs-e.NumFree())
+		}
+		if stranded == 0 {
+			t.Fatal("no page tail was ever stranded; the case exercises nothing")
+		}
 	})
 }
 

@@ -17,13 +17,13 @@ import (
 // TestTryScheduleHeadBlockedZeroAlloc pins a head-blocked scheduling
 // round at exactly zero allocations for every policy: FCFS and SJF
 // short-circuit on the watermark, and EASY — which must re-scan because
-// its backfill decisions depend on the clock — runs its full PickSorted
-// round over the persistent pendBuf and runOrd without copying either.
+// its backfill decisions depend on the clock — runs its full Pick round
+// over the persistent pendBuf and runOrd without copying either.
 func TestTryScheduleHeadBlockedZeroAlloc(t *testing.T) {
 	for _, policy := range []string{"fcfs", "sjf", "easy"} {
 		t.Run(policy, func(t *testing.T) {
 			cfg := Config{
-				MeshW: 8, MeshH: 8,
+				Dims:  []int{8, 8},
 				Alloc: "hilbert/bestfit", Pattern: "nbody", Seed: 1,
 				Scheduler:   policy,
 				KeepRecords: Discard, KeepNodes: Discard,
@@ -73,7 +73,7 @@ func TestTryScheduleDispatchSteadyStateAllocs(t *testing.T) {
 	for _, policy := range []string{"fcfs", "easy"} {
 		t.Run(policy, func(t *testing.T) {
 			cfg := Config{
-				MeshW: 8, MeshH: 8,
+				Dims:  []int{8, 8},
 				Alloc: "hilbert/bestfit", Pattern: "nbody", Seed: 1,
 				Scheduler:   policy,
 				KeepRecords: Discard, KeepNodes: Discard,
@@ -118,7 +118,7 @@ func TestTryScheduleDispatchSteadyStateAllocs(t *testing.T) {
 func deepFCFSEngine(tb testing.TB, depth int) (e *Engine, cycle func()) {
 	tb.Helper()
 	e, err := NewEngine(Config{
-		MeshW: 8, MeshH: 8,
+		Dims:  []int{8, 8},
 		Alloc: "hilbert/bestfit", Pattern: "nbody", Seed: 1,
 		KeepRecords: Discard, KeepNodes: Discard,
 	})

@@ -27,17 +27,17 @@
 //
 //	tr := meshalloc.NewSDSCTrace(meshalloc.SDSCConfig{Jobs: 500, MaxSize: 352, Seed: 1})
 //	res, err := meshalloc.Run(meshalloc.Config{
-//		MeshW: 16, MeshH: 22, // or Dims: []int{8, 8, 8} for native 3-D
-//		Alloc:   "hilbert/bestfit",
-//		Pattern: "nbody",
-//		Load:    0.6,
+//		Dims:      []int{16, 22}, // or []int{8, 8, 8} for native 3-D
+//		Alloc:     "hilbert/bestfit",
+//		Pattern:   "nbody",
+//		Load:      0.6,
 //		TimeScale: 0.02,
 //	}, tr)
 //
 // Open-system streaming (online submission, constant memory):
 //
 //	eng, err := meshalloc.NewEngine(meshalloc.Config{
-//		MeshW: 16, MeshH: 16,
+//		Dims: []int{16, 16},
 //		Alloc: "hilbert/bestfit", Pattern: "nbody",
 //		KeepRecords: meshalloc.Discard, KeepNodes: meshalloc.Discard,
 //	})

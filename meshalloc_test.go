@@ -5,7 +5,7 @@ import "testing"
 func TestFacadeQuickstart(t *testing.T) {
 	tr := NewSDSCTrace(SDSCConfig{Jobs: 60, MaxSize: 64, Seed: 1})
 	res, err := Run(Config{
-		MeshW: 8, MeshH: 8,
+		Dims:      []int{8, 8},
 		Alloc:     "hilbert/bestfit",
 		Pattern:   "nbody",
 		TimeScale: 0.01,
@@ -26,7 +26,7 @@ func TestFacadeQuickstart(t *testing.T) {
 // package documentation through the facade.
 func TestFacadeEngineStreaming(t *testing.T) {
 	eng, err := NewEngine(Config{
-		MeshW: 8, MeshH: 8,
+		Dims:  []int{8, 8},
 		Alloc: "hilbert/bestfit", Pattern: "nbody",
 		Seed:        1,
 		KeepRecords: Discard, KeepNodes: Discard,
@@ -52,7 +52,7 @@ func TestFacadeEngineStreaming(t *testing.T) {
 	}
 	// The bursty source drives the same machinery.
 	eng2, err := NewEngine(Config{
-		MeshW: 8, MeshH: 8, Alloc: "scurve", Pattern: "ring", Seed: 1,
+		Dims: []int{8, 8}, Alloc: "scurve", Pattern: "ring", Seed: 1,
 		KeepRecords: Discard, KeepNodes: Discard,
 	})
 	if err != nil {

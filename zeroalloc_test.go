@@ -187,7 +187,7 @@ func TestIndexedAllocatorSteadyStateAllocs(t *testing.T) {
 func TestEngineDiscardPerJobAllocs(t *testing.T) {
 	const jobs = 2000
 	cfg := sim.Config{
-		MeshW: 16, MeshH: 16,
+		Dims:  []int{16, 16},
 		Alloc: "hilbert/bestfit", Pattern: "nbody",
 		Seed:          1,
 		MsgsPerSecond: 0.01, // ~100 messages per job: quota-linear garbage would dominate
